@@ -7,7 +7,7 @@ from .errors import (ClearanceError, DegenerateFit, EmptySample,
                      InfeasibleStart, InvalidGeometry, InvalidInput,
                      MotKitError, ObjectiveEvaluationError, SingularPoint,
                      ZeroNotBracketed)
-from .field import (EPS_SING, MU_0, FieldMap, FieldSample, field_at,
+from .field import (EPS_SING, MU_0, FieldMap, field_at, field_many,
                     field_map_csv, sample_line, sample_plane, segment_field)
 from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, ConductorSection,
                        Discretization, GeometrySpec, Material, Segment,

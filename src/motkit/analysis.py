@@ -1,7 +1,9 @@
 """Field-zero location, gradient fits, and MOT suitability checks.
 
 Accepts either a SegmentList or any callable p -> B (tesla); the callable
-form is what the synthetic-field tests use.
+form is what the synthetic-field tests use.  Every analysis evaluates its
+points in one batched call: the zero finder's grid, each Newton step's
+seven-point stencil and the three axis scans of a gradient fit.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DegenerateFit, InvalidInput, SingularPoint, ZeroNotBracketed
-from .field import field_at
+from .field import field_many
 from .geometry import SegmentList
 
 GAUSS_PER_TESLA = 1.0e4
@@ -23,12 +25,43 @@ DEFAULT_STENCIL = 1.0e-4      # m
 
 
 def as_field(source):
-    """Normalise a SegmentList or callable into a p -> B function."""
+    """Normalise a SegmentList or callable p -> B into a batched function
+    points (N, 3) -> B (N, 3) with NaN rows at singular points."""
     if isinstance(source, SegmentList):
-        return lambda p: field_at(source, np.asarray(p, dtype=float))
-    if callable(source):
-        return lambda p: np.asarray(source(np.asarray(p, dtype=float)), dtype=float)
-    raise InvalidInput("expected a SegmentList or a field callable")
+        return lambda points: field_many(source, points)
+    if not callable(source):
+        raise InvalidInput("expected a SegmentList or a field callable")
+
+    def rows(points):
+        out = np.empty((len(points), 3))
+        for i, p in enumerate(points):
+            try:
+                out[i] = source(p)
+            except SingularPoint:
+                out[i] = np.nan
+        return out
+
+    return rows
+
+
+def _regular(B, what: str) -> np.ndarray:
+    """B itself, or SingularPoint if any of its rows is singular."""
+    if np.isnan(B).any():
+        raise SingularPoint(f"{what} touches a conductor")
+    return B
+
+
+def _stencil(p, h: float) -> np.ndarray:
+    """p followed by p + h e_j and p - h e_j for j = x, y, z."""
+    offsets = np.zeros((7, 3))
+    offsets[1::2] = h * np.eye(3)
+    offsets[2::2] = -h * np.eye(3)
+    return p + offsets
+
+
+def _central_jacobian(B, h: float) -> np.ndarray:
+    """dB_i/dx_j from the field on `_stencil` rows 1..6."""
+    return (B[1::2] - B[2::2]).T / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -63,35 +96,34 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0), search_radius=5.0e-3,
     f = as_field(source)
     c = np.asarray(search_center, dtype=float)
     axis = np.linspace(-search_radius, search_radius, grid_n)
-    best_p, best_m = None, math.inf
-    boundary_best = False
-    for i, x in enumerate(axis):
-        for j, y in enumerate(axis):
-            for k, z in enumerate(axis):
-                p = c + np.array([x, y, z])
-                try:
-                    m = float(np.linalg.norm(f(p)))
-                except SingularPoint:
-                    continue
-                # ties resolved towards the lexicographically smallest point
-                if best_p is None or m < best_m * (1.0 - 1e-12):
-                    best_m, best_p = m, p
-                    boundary_best = i in (0, grid_n - 1) or j in (0, grid_n - 1) \
-                        or k in (0, grid_n - 1)
-    if best_p is None:
+    grid = c + np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+    mags = np.linalg.norm(f(grid), axis=1)
+    mags[np.isnan(mags)] = math.inf     # singular grid points never win
+    # Only a strict new running minimum can pass the tie rule below, so the
+    # scan in grid order visits those alone.
+    earlier = np.minimum.accumulate(np.concatenate(([math.inf], mags[:-1])))
+    best, best_m = None, math.inf
+    for index in np.flatnonzero(mags < earlier).tolist():
+        m = float(mags[index])
+        # ties resolved towards the lexicographically smallest point
+        if best is None or m < best_m * (1.0 - 1e-12):
+            best_m, best = m, index
+    if best is None:
         raise ZeroNotBracketed("no non-singular point in the search region")
-    if boundary_best:
+    if any(i in (0, grid_n - 1) for i in np.unravel_index(best, (grid_n,) * 3)):
         raise ZeroNotBracketed("|B| minimum lies on the search-region boundary")
 
+    best_p = grid[best]
     p = best_p.copy()
     h = max(search_radius / 200.0, 1e-6)
     for _ in range(60):
-        b = f(p)
-        if np.linalg.norm(b) == 0.0:
+        B = f(_stencil(p, h))
+        if np.linalg.norm(B[0]) == 0.0:
             break
-        J = jacobian_at(f, p, h)
+        J = _central_jacobian(_regular(B, "Newton stencil"), h)
         try:
-            step = np.linalg.solve(J, b)
+            step = np.linalg.solve(J, B[0])
         except np.linalg.LinAlgError:
             break
         norm = np.linalg.norm(step)
@@ -103,7 +135,7 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0), search_radius=5.0e-3,
             raise ZeroNotBracketed("zero refinement left the search region")
         if norm < 1e-13:
             break
-    if float(np.linalg.norm(f(p))) <= best_m:
+    if float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0])) <= best_m:
         return p
     return best_p
 
@@ -114,12 +146,7 @@ def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:
         raise InvalidInput("stencil step must be positive")
     f = as_field(source)
     p = np.asarray(p, dtype=float)
-    J = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        J[:, j] = (f(p + e) - f(p - e)) / (2.0 * h)
-    return J
+    return _central_jacobian(_regular(f(_stencil(p, h)), "Jacobian stencil"), h)
 
 
 def _fit_line(x, y):
@@ -154,14 +181,14 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     f = as_field(source)
     zero = np.asarray(zero, dtype=float)
     s = np.linspace(-window, window, n)
+    # rows axis * n + i hold zero + s[i] * e_axis
+    B = _regular(f((zero + s[None, :, None] * np.eye(3)[:, None, :])
+                   .reshape(-1, 3)), "gradient-fit sample").reshape(3, n, 3)
     g = np.empty(3)
     sigma = np.empty(3)
     residuals = []
     for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        comp = np.array([f(zero + si * e)[axis] for si in s])
-        slope, err, resid = _fit_line(s, comp)
+        slope, err, resid = _fit_line(s, B[axis, :, axis])
         g[axis] = slope * GCM_PER_TPM
         sigma[axis] = err * GCM_PER_TPM
         residuals.append(resid)

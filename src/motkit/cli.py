@@ -337,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="config file or bundled preset name")
     sim.add_argument("--out", required=True)
     sim.add_argument("--threads", type=int, default=0,
-                     help="field-sampling threads (0 = serial)")
-    sim.add_argument("--seed", type=int, default=0,
-                     help="reserved; no stochastic components currently")
+                     help="threads mapping the field kernel's chunks "
+                          "(0 = serial)")
     sim.set_defaults(func=cmd_simulate)
 
     opt = sub.add_parser("optimize", help="search geometry parameters")
@@ -347,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="config file or bundled preset name")
     opt.add_argument("--out", required=True)
     opt.add_argument("--budget", type=int, default=200)
-    opt.add_argument("--threads", type=int, default=0)
-    opt.add_argument("--seed", type=int, default=0,
-                     help="reserved; no stochastic components currently")
     opt.set_defaults(func=cmd_optimize)
 
     sca = sub.add_parser("scale", help="print miniaturisation ratios")

@@ -7,9 +7,9 @@ The field of one filament uses the closed form
 
 with r1, r2 the vectors from the segment ends to the field point.  This is
 exact for a finite straight wire, vanishes identically on the collinear
-extension, and is singular only on the segment itself.  Points within
-EPS_SING of a filament raise SingularPoint rather than returning garbage;
-the samplers convert that into explicit NaN gaps.
+extension, and is singular only on the segment itself.  `field_many`
+evaluates it for many points at once and marks points within EPS_SING of a
+filament as NaN rows; `field_at` raises SingularPoint for them instead.
 """
 from __future__ import annotations
 
@@ -24,14 +24,9 @@ from .geometry import Segment, SegmentList
 
 MU_0 = 4.0 * math.pi * 1e-7  # T m / A, exact by convention here
 EPS_SING = 1e-7              # m: singular tube radius around each filament
+_CHUNK_PAIRS = 8192          # point-segment pairs per kernel chunk
 
 CSV_HEADER = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G"
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    position: np.ndarray  # m
-    B: np.ndarray         # tesla; NaN components mark a singular gap
 
 
 def _distance_to_segments(p, starts, ends):
@@ -41,6 +36,87 @@ def _distance_to_segments(p, starts, ends):
     t = np.clip(t, 0.0, 1.0)
     closest = starts + t[:, None] * line
     return np.linalg.norm(p - closest, axis=1)
+
+
+def _segment_data(segments: SegmentList):
+    """Per-segment kernel inputs, one row per component: starts, ends and
+    direction l as (3, n), then |l|^2 and mu0 I / 4 pi as (n,)."""
+    a = np.ascontiguousarray(segments.starts.T)
+    b = np.ascontiguousarray(segments.ends.T)
+    line = b - a
+    length_sq = line[0] * line[0] + line[1] * line[1] + line[2] * line[2]
+    return a, b, line, length_sq, MU_0 / (4.0 * math.pi) * segments.currents
+
+
+def _field_chunk(seg, points) -> np.ndarray:
+    """Field rows of a few points in a (points, segments) layout.
+
+    Each row sums over the segments in stored order along a contiguous
+    axis, so a row does not depend on which other points share the chunk.
+    """
+    a, b, line, length_sq, k = seg
+    x, y, z = points[:, 0:1], points[:, 1:2], points[:, 2:3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1x, r1y, r1z = x - a[0], y - a[1], z - a[2]
+        r2x, r2y, r2z = x - b[0], y - b[1], z - b[2]
+        n1_sq = r1x * r1x + r1y * r1y + r1z * r1z
+        n2_sq = r2x * r2x + r2y * r2y + r2z * r2z
+        n1, n2 = np.sqrt(n1_sq), np.sqrt(n2_sq)
+        cx = r1y * r2z - r1z * r2y
+        cy = r1z * r2x - r1x * r2z
+        cz = r1x * r2y - r1y * r2x
+        n12 = n1 * n2
+        # collinear-outside points: cross == 0 while denom > 0; keep the 0/denom
+        coef = k * (n1 + n2) / (n12 * (n12 + (r1x * r2x + r1y * r2y + r1z * r2z)))
+        out = np.empty((points.shape[0], 3))
+        out[:, 0] = (coef * cx).sum(axis=1)
+        out[:, 1] = (coef * cy).sum(axis=1)
+        out[:, 2] = (coef * cz).sum(axis=1)
+        # A point is singular when its squared distance d2 to a segment is
+        # below EPS_SING^2: with t = (r1.l) / |l|^2, d2 is |r1|^2 for t <= 0,
+        # |r2|^2 for t >= 1 and |r1 x r2|^2 / |l|^2 between.  That last term
+        # is the distance to the segment's line and never exceeds d2, so d2
+        # is needed only on rows where it falls below twice the bound.
+        cross_sq = cx * cx + cy * cy + cz * cz
+        near = np.flatnonzero(
+            (cross_sq < 2.0 * EPS_SING * EPS_SING * length_sq).any(axis=1))
+        if near.size:
+            along = (r1x[near] * line[0] + r1y[near] * line[1]
+                     + r1z[near] * line[2])
+            dist_sq = np.where(along <= 0.0, n1_sq[near],
+                               np.where(along >= length_sq, n2_sq[near],
+                                        cross_sq[near] / length_sq))
+            out[near[(dist_sq < EPS_SING * EPS_SING).any(axis=1)]] = np.nan
+    return out
+
+
+def field_many(segments: SegmentList, points, threads: int = 1) -> np.ndarray:
+    """Field at many points (tesla, (N, 3)); singular points give NaN rows.
+
+    Points are walked in chunks of at most _CHUNK_PAIRS point-segment pairs
+    (at least one point each), which bounds the temporaries and keeps them
+    in cache.  With threads > 1 the same chunks are mapped over a thread
+    pool, so the result is bitwise independent of chunk size and threads.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise InvalidInput("field points must be an (N, 3) array")
+    seg = _segment_data(segments)
+    rows = max(1, _CHUNK_PAIRS // len(segments))
+    starts = range(0, points.shape[0], rows)
+    out = np.empty(points.shape)
+
+    def run(start):
+        out[start:start + rows] = _field_chunk(seg, points[start:start + rows])
+
+    if threads and threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        for start in starts:
+            run(start)
+    return out
 
 
 def segment_field(seg: Segment, p) -> np.ndarray:
@@ -53,48 +129,20 @@ def segment_field(seg: Segment, p) -> np.ndarray:
 def field_at(segments: SegmentList, p) -> np.ndarray:
     """Superposed field of all segments at point p (tesla).
 
-    Summation runs in stored segment order for bitwise reproducibility.
+    The one-point case of `field_many`; a singular point raises
+    SingularPoint naming the nearest segment.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise InvalidInput("field point must be a 3-vector")
-    dist = _distance_to_segments(p, segments.starts, segments.ends)
-    if np.any(dist < EPS_SING):
+    b = field_many(segments, p[None, :])[0]
+    if np.isnan(b[0]):
+        dist = _distance_to_segments(p, segments.starts, segments.ends)
         idx = int(np.argmin(dist))
         raise SingularPoint(
             f"point {p.tolist()} within {EPS_SING:g} m of segment {idx}",
             segment_index=idx)
-    r1 = p - segments.starts
-    r2 = p - segments.ends
-    n1 = np.linalg.norm(r1, axis=1)
-    n2 = np.linalg.norm(r2, axis=1)
-    cross = np.cross(r1, r2)
-    denom = n1 * n2 * (n1 * n2 + np.einsum("ij,ij->i", r1, r2))
-    # collinear-outside points: cross == 0 while denom > 0; keep the 0/denom
-    coef = MU_0 / (4.0 * math.pi) * segments.currents * (n1 + n2) / denom
-    return (coef[:, None] * cross).sum(axis=0)
-
-
-def evaluate_points(segments: SegmentList, points, threads: int = 1):
-    """Field at many points; singular points become NaN rows.
-
-    Points are independent, so the result does not depend on thread count.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def one(p):
-        try:
-            return field_at(segments, p)
-        except SingularPoint:
-            return np.full(3, np.nan)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(p) for p in points]
-    return np.asarray(rows)
+    return b
 
 
 @dataclass(frozen=True)
@@ -109,13 +157,9 @@ class FieldMap:
     def magnitude(self) -> np.ndarray:
         return np.linalg.norm(self.B, axis=1)
 
-    @property
-    def samples(self):
-        return [FieldSample(p, b) for p, b in zip(self.positions, self.B)]
-
 
 def _finish_map(segments, positions, shape, threads):
-    B = evaluate_points(segments, positions, threads=threads)
+    B = field_many(segments, positions, threads=threads)
     if np.all(np.isnan(B[:, 0])):
         raise EmptySample("every sample point is singular")
     return FieldMap(positions=positions, B=B, shape=shape)

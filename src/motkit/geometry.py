@@ -91,15 +91,6 @@ class SegmentList:
         return cls(starts, ends, np.full(n, float(current)), [group_id] * n,
                    closed_groups=(group_id,) if closed else ())
 
-    @classmethod
-    def from_segments(cls, segments, group_id="path", closed=False):
-        segs = list(segments)
-        starts = [s.a for s in segs]
-        ends = [s.b for s in segs]
-        currents = [s.current for s in segs]
-        return cls(starts, ends, currents, [group_id] * len(segs),
-                   closed_groups=(group_id,) if closed else ())
-
     def __len__(self):
         return self.starts.shape[0]
 

@@ -211,12 +211,13 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
             continue
         # shrink towards the best vertex
         for i in range(1, len(simplex)):
-            simplex[i] = project(simplex[0] + _SIGMA * (simplex[i] - simplex[0]))
-            v = evaluate(simplex[i])
+            x = project(simplex[0] + _SIGMA * (simplex[i] - simplex[0]))
+            v = evaluate(x)
             if v is None:
                 exhausted = True
                 break
-            values[i] = v
+            # a vertex changes only together with its value
+            simplex[i], values[i] = x, v
         exhausted = exhausted or state["count"] >= budget
 
     # best point seen anywhere in the trace

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import motkit as mk
 from motkit.errors import EmptySample, InvalidInput, SingularPoint
+from motkit.field import _CHUNK_PAIRS
 
 
 def test_loop_center_matches_analytic():
@@ -140,3 +143,119 @@ def test_field_point_must_be_vector():
     segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
     with pytest.raises(InvalidInput):
         mk.field_at(segs, np.zeros((2, 3)))
+
+
+def brute_force(segments, p):
+    """Per-segment Biot-Savart sum in scalar arithmetic, segment by segment.
+
+    Returns the field and the sum of the per-segment magnitudes, the scale
+    against which the batched kernel's rounding is judged.
+    """
+    total = [0.0, 0.0, 0.0]
+    scale = 0.0
+    for a, b, current in zip(segments.starts.tolist(), segments.ends.tolist(),
+                             segments.currents.tolist()):
+        r1 = [p[i] - a[i] for i in range(3)]
+        r2 = [p[i] - b[i] for i in range(3)]
+        n1 = math.sqrt(sum(v * v for v in r1))
+        n2 = math.sqrt(sum(v * v for v in r2))
+        cross = [r1[1] * r2[2] - r1[2] * r2[1],
+                 r1[2] * r2[0] - r1[0] * r2[2],
+                 r1[0] * r2[1] - r1[1] * r2[0]]
+        dot = sum(u * v for u, v in zip(r1, r2))
+        coef = 1e-7 * current * (n1 + n2) / (n1 * n2 * (n1 * n2 + dot))
+        for i in range(3):
+            total[i] += coef * cross[i]
+        scale += abs(coef) * math.hypot(*cross)
+    return np.array(total), scale
+
+
+def assert_matches_brute_force(segments, points, rtol=1e-12):
+    B = mk.field_many(segments, points)
+    for p, b in zip(points, B):
+        expected, scale = brute_force(segments, p)
+        assert np.all(np.abs(b - expected) <= rtol * scale)
+
+
+def kernel_points(segments, n, rng):
+    """Random points around a geometry, plus one on each segment's middle
+    and first vertex, so that singular rows are part of the output."""
+    lo = segments.starts.min(axis=0) - 0.01
+    hi = segments.starts.max(axis=0) + 0.01
+    return np.vstack([rng.uniform(lo, hi, size=(n, 3)),
+                      0.5 * (segments.starts[::97] + segments.ends[::97]),
+                      segments.starts[::89]])
+
+
+def test_field_many_is_bitwise_independent_of_chunks_and_threads(monkeypatch):
+    segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 90)
+    points = kernel_points(segs, 200, np.random.default_rng(3))
+    reference = mk.field_many(segs, points)
+    assert np.isnan(reference[:, 0]).sum() >= 2
+    for chunk in (1, 7, _CHUNK_PAIRS, 1 << 20):
+        monkeypatch.setattr(mk.field, "_CHUNK_PAIRS", chunk)
+        for threads in (1, 4):
+            B = mk.field_many(segs, points, threads=threads)
+            assert B.tobytes() == reference.tobytes(), (chunk, threads)
+
+
+def test_field_many_nan_rows_exactly_within_eps_sing():
+    eps = mk.EPS_SING
+    segs = mk.make_free_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)], 1.0)
+    singular = [(0.0, 0.0, 0.0),              # end vertex of the path
+                (1.0, 0.0, 0.0),              # corner vertex
+                (0.5, 0.0, 0.0),              # mid-segment
+                (0.5, 0.5 * eps, 0.0),        # inside the tube
+                (-0.5 * eps, 0.0, 0.0),       # just past the end, t < 0
+                (1.0, 1.0 + 0.5 * eps, 0.0)]  # just past the end, t > 1
+    regular = [(0.5, 2.0 * eps, 0.0),
+               (0.5, 0.0, -2.0 * eps),
+               (-2.0 * eps, 0.0, 0.0),        # collinear extension
+               (-0.5, 0.0, 0.0),
+               (1.0, 3.0, 0.0),
+               (0.3, 0.4, 0.5)]
+    B = mk.field_many(segs, singular + regular)
+    assert np.all(np.isnan(B[:len(singular)]))
+    assert np.all(np.isfinite(B[len(singular):]))
+    assert_matches_brute_force(segs, np.array(regular))
+
+
+def test_field_many_matches_brute_force_on_presets():
+    rng = np.random.default_rng(11)
+    for variant in ("AntiHelmholtz", "TwoPiece"):
+        segs = mk.build(mk.GeometrySpec(variant))
+        points = rng.uniform(-8e-3, 8e-3, size=(20, 3))
+        assert_matches_brute_force(segs, points)
+
+
+def test_field_many_accepts_one_point_and_rejects_bad_shapes():
+    segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
+    p = np.array([0.01, 0.02, 0.0])
+    assert mk.field_many(segs, p).shape == (1, 3)
+    assert mk.field_many(segs, p)[0].tobytes() == mk.field_at(segs, p).tobytes()
+    assert mk.field_many(segs, np.empty((0, 3))).shape == (0, 3)
+    with pytest.raises(InvalidInput):
+        mk.field_many(segs, np.zeros((4, 2)))
+
+
+coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+vectors = st.tuples(coords, coords, coords)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.lists(st.tuples(vectors, vectors, st.floats(-10.0, 10.0)),
+                min_size=1, max_size=12),
+       st.lists(vectors, min_size=1, max_size=25))
+def test_field_many_matches_brute_force_property(raw_segments, raw_points):
+    starts = np.array([a for a, _, _ in raw_segments])
+    ends = np.array([b for _, b, _ in raw_segments])
+    assume(np.all(np.linalg.norm(ends - starts, axis=1) > 0.05))
+    segs = mk.SegmentList(starts, ends, [c for _, _, c in raw_segments],
+                          ["g"] * len(raw_segments))
+    points = np.array(raw_points)
+    # the closed form loses digits near a wire, in either summation order
+    dist = np.array([mk.field._distance_to_segments(p, starts, ends).min()
+                     for p in points])
+    assume(np.all(dist > 0.05))
+    assert_matches_brute_force(segs, points)

@@ -101,3 +101,29 @@ def test_trace_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "eval,objective,separation"
     assert len(lines) == 1 + result.evaluations
+
+
+def test_budget_cut_inside_a_shrink_reports_an_evaluated_pair(monkeypatch):
+    # A rugged synthetic objective defeats reflections and contractions, so
+    # the search shrinks; with two parameters a budget of 18 ends between
+    # the two evaluations of its first shrink.
+    seen = []
+
+    def rugged(spec, obj, material=mk.COPPER):
+        r = spec.parameters["radius"]
+        s = spec.parameters["separation"]
+        value = math.sin(900.0 * r) ** 2 + math.cos(700.0 * s) ** 2
+        seen.append(value)
+        return value
+
+    monkeypatch.setattr(mk.optimize, "objective_value", rugged)
+    spec = mk.GeometrySpec("AntiHelmholtz", {}, FAST)
+    obj = coil_objective(bounds={"radius": (0.03, 0.06),
+                                 "separation": (0.03, 0.08)})
+    for budget in range(1, 41):
+        seen.clear()
+        result = mk.optimize_geometry(spec, obj, budget=budget)
+        assert len(seen) == result.evaluations
+        assert result.best_objective == min(seen), budget
+        best = spec.replace_parameters(**result.best_parameters)
+        assert rugged(best, obj) == result.best_objective, budget
