@@ -23,7 +23,7 @@ from .errors import (InfeasibleStart, InvalidGeometry, InvalidInput,
                      MotKitError, ZeroNotBracketed)
 from .field import field_map_csv, sample_line, sample_plane
 from .geometry import (COPPER, MATERIALS, GeometrySpec, Material, SegmentList,
-                       build, make_free_path)
+                       build)
 from .optimize import ObjectiveSpec, optimize_geometry, trace_csv
 from .power import power_report
 from .scaling import scaling_report
@@ -138,7 +138,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("config is missing the 'geometry' section")
     try:
         geometry = GeometrySpec.from_json_dict(doc["geometry"])
-    except (InvalidInput, InvalidGeometry, TypeError, ValueError) as exc:
+    except (InvalidInput, InvalidGeometry, TypeError, ValueError,
+            OverflowError) as exc:
         raise ConfigError(f"bad geometry section: {exc}") from exc
     return {
         "geometry": geometry,
@@ -187,7 +188,6 @@ def _json_text(doc) -> str:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _check_outdir(args.out)
-    threads = args.threads if args.threads and args.threads > 0 else 1
     ana = cfg["analysis"]
     segs = build(cfg["geometry"])
     zero = find_field_zero(segs, search_radius=ana["search_radius"])
@@ -199,14 +199,13 @@ def cmd_simulate(args) -> int:
     axes = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
     for name, direction in axes.items():
         fmap = sample_line(segs, zero, direction, ana["scan_halfrange"],
-                           ana["scan_points"], threads=threads)
+                           ana["scan_points"])
         outputs[f"scan_{name}.csv"] = field_map_csv(fmap)
     planes = {"xy": ((1, 0, 0), (0, 1, 0)), "xz": ((1, 0, 0), (0, 0, 1)),
               "zy": ((0, 0, 1), (0, 1, 0))}
     for name, (a1, a2) in planes.items():
         fmap = sample_plane(segs, zero, a1, a2, ana["scan_halfrange"],
-                            ana["plane_points"], ana["plane_points"],
-                            threads=threads)
+                            ana["plane_points"], ana["plane_points"])
         outputs[f"plane_{name}.csv"] = field_map_csv(fmap)
     outputs["report.json"] = _json_text({
         "gradient_report": greport.to_json_dict(),
@@ -291,8 +290,7 @@ def import_obj(text: str, currents: dict | None = None) -> SegmentList:
     `currents` maps group name to the current each segment in that group
     carries (default 1 A); the export format itself is geometry-only.
     """
-    vertices = []
-    out = None
+    vertices, starts, ends, amps, group_ids = [], [], [], [], []
     group = "default"
     for line in text.splitlines():
         parts = line.split()
@@ -304,13 +302,13 @@ def import_obj(text: str, currents: dict | None = None) -> SegmentList:
             vertices.append([float(c) * 1e-3 for c in parts[1:4]])
         elif parts[0] == "l":
             i, j = int(parts[1]), int(parts[2])
-            cur = (currents or {}).get(group, 1.0)
-            seg = make_free_path([vertices[i - 1], vertices[j - 1]], cur,
-                                 group_id=group)
-            out = seg if out is None else out + seg
-    if out is None:
+            starts.append(vertices[i - 1])
+            ends.append(vertices[j - 1])
+            amps.append((currents or {}).get(group, 1.0))
+            group_ids.append(group)
+    if not group_ids:
         raise ConfigError("no line elements in OBJ input")
-    return out
+    return SegmentList(starts, ends, amps, group_ids)
 
 
 def cmd_export(args) -> int:
@@ -336,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True,
                      help="config file or bundled preset name")
     sim.add_argument("--out", required=True)
-    sim.add_argument("--threads", type=int, default=0,
-                     help="threads mapping the field kernel's chunks "
-                          "(0 = serial)")
     sim.set_defaults(func=cmd_simulate)
 
     opt = sub.add_parser("optimize", help="search geometry parameters")

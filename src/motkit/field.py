@@ -90,32 +90,21 @@ def _field_chunk(seg, points) -> np.ndarray:
     return out
 
 
-def field_many(segments: SegmentList, points, threads: int = 1) -> np.ndarray:
+def field_many(segments: SegmentList, points) -> np.ndarray:
     """Field at many points (tesla, (N, 3)); singular points give NaN rows.
 
     Points are walked in chunks of at most _CHUNK_PAIRS point-segment pairs
     (at least one point each), which bounds the temporaries and keeps them
-    in cache.  With threads > 1 the same chunks are mapped over a thread
-    pool, so the result is bitwise independent of chunk size and threads.
+    in cache.  The result is bitwise independent of the chunk size.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidInput("field points must be an (N, 3) array")
     seg = _segment_data(segments)
     rows = max(1, _CHUNK_PAIRS // len(segments))
-    starts = range(0, points.shape[0], rows)
     out = np.empty(points.shape)
-
-    def run(start):
+    for start in range(0, points.shape[0], rows):
         out[start:start + rows] = _field_chunk(seg, points[start:start + rows])
-
-    if threads and threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
     return out
 
 
@@ -158,15 +147,15 @@ class FieldMap:
         return np.linalg.norm(self.B, axis=1)
 
 
-def _finish_map(segments, positions, shape, threads):
-    B = field_many(segments, positions, threads=threads)
+def _finish_map(segments, positions, shape):
+    B = field_many(segments, positions)
     if np.all(np.isnan(B[:, 0])):
         raise EmptySample("every sample point is singular")
     return FieldMap(positions=positions, B=B, shape=shape)
 
 
-def sample_line(segments: SegmentList, origin, direction, half_range, n,
-                threads: int = 1) -> FieldMap:
+def sample_line(segments: SegmentList, origin, direction, half_range,
+                n) -> FieldMap:
     """n equally spaced samples on origin +- half_range * direction."""
     if n < 1:
         raise InvalidInput("need at least one sample")
@@ -178,11 +167,11 @@ def sample_line(segments: SegmentList, origin, direction, half_range, n,
     d = d / norm
     s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
     positions = origin + s[:, None] * d
-    return _finish_map(segments, positions, (n,), threads)
+    return _finish_map(segments, positions, (n,))
 
 
 def sample_plane(segments: SegmentList, center, axis1, axis2, half_ranges,
-                 n1, n2, threads: int = 1) -> FieldMap:
+                 n1, n2) -> FieldMap:
     """Row-major n1 x n2 grid over center + u*axis1 + v*axis2."""
     if n1 < 1 or n2 < 1:
         raise InvalidInput("need at least one sample per axis")
@@ -199,7 +188,7 @@ def sample_plane(segments: SegmentList, center, axis1, axis2, half_ranges,
     positions = (center
                  + u[:, None, None] * a1
                  + v[None, :, None] * a2).reshape(-1, 3)
-    return _finish_map(segments, positions, (n1, n2), threads)
+    return _finish_map(segments, positions, (n1, n2))
 
 
 def field_map_csv(fmap: FieldMap) -> str:

@@ -6,19 +6,26 @@ it belongs to.  Volumetric conductors are approximated by filament bundles
 with uniform current sharing; cross-sections used for resistance come from
 the declared solid dimensions, not the filament count.
 
+Each trap family is one entry of `REGISTRY`: its parameters with their
+kinds and defaults, its builder and its conductor sections.  `build` checks
+Kirchhoff's current law on every result, so the filaments of each variant
+form closed circuits.
+
 Internal units are strict SI (metre, ampere).
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import ClearanceError, InvalidGeometry, InvalidInput
 
-CHAIN_TOL = 1e-9  # max endpoint gap for closed groups [m]
+# upper bound on the worst-case segment count a discretization may ask for;
+# the presets need at most about 16,000
+MAX_SEGMENTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +50,11 @@ class Segment:
         if np.linalg.norm(b - a) <= 0.0:
             raise InvalidGeometry("zero-length segment")
 
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
 
 class SegmentList:
-    """Ordered collection of filament segments with per-segment group ids.
+    """Ordered collection of filament segments with per-segment group ids."""
 
-    Groups listed in `closed_groups` must chain head-to-tail (gap < 1 nm);
-    open groups (bars/arms with external terminals) are exempt.
-    """
-
-    def __init__(self, starts, ends, currents, group_ids, closed_groups=()):
+    def __init__(self, starts, ends, currents, group_ids):
         starts = np.atleast_2d(np.asarray(starts, dtype=float))
         ends = np.atleast_2d(np.asarray(ends, dtype=float))
         currents = np.atleast_1d(np.asarray(currents, dtype=float))
@@ -63,7 +62,8 @@ class SegmentList:
         n = starts.shape[0]
         if n == 0:
             raise InvalidGeometry("empty segment list")
-        if ends.shape != starts.shape or currents.shape[0] != n or len(group_ids) != n:
+        if (starts.shape[1:] != (3,) or ends.shape != starts.shape
+                or currents.shape[0] != n or len(group_ids) != n):
             raise InvalidGeometry("inconsistent segment array shapes")
         if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends)) and np.all(np.isfinite(currents))):
             raise InvalidGeometry("non-finite segment data")
@@ -74,8 +74,6 @@ class SegmentList:
         self.ends = ends
         self.currents = currents
         self.group_ids = group_ids
-        self.closed_groups = frozenset(closed_groups)
-        self._check_chaining()
 
     # -- construction helpers
 
@@ -88,8 +86,7 @@ class SegmentList:
             pts = np.vstack([pts, pts[:1]])
         starts, ends = pts[:-1], pts[1:]
         n = starts.shape[0]
-        return cls(starts, ends, np.full(n, float(current)), [group_id] * n,
-                   closed_groups=(group_id,) if closed else ())
+        return cls(starts, ends, np.full(n, float(current)), [group_id] * n)
 
     def __len__(self):
         return self.starts.shape[0]
@@ -100,7 +97,6 @@ class SegmentList:
             np.vstack([self.ends, other.ends]),
             np.concatenate([self.currents, other.currents]),
             self.group_ids + other.group_ids,
-            closed_groups=self.closed_groups | other.closed_groups,
         )
 
     # -- group access
@@ -119,51 +115,50 @@ class SegmentList:
         if not m.any():
             raise InvalidInput(f"no such group: {group_id!r}")
         return SegmentList(self.starts[m], self.ends[m], self.currents[m],
-                           [group_id] * int(m.sum()),
-                           closed_groups=self.closed_groups & {group_id})
-
-    def segment(self, i: int) -> Segment:
-        return Segment(self.starts[i], self.ends[i], float(self.currents[i]))
+                           [group_id] * int(m.sum()))
 
     @property
     def lengths(self) -> np.ndarray:
         return np.linalg.norm(self.ends - self.starts, axis=1)
+
+    def unbalanced_vertices(self, terminals=()) -> np.ndarray:
+        """Vertices whose inflowing and outflowing currents do not cancel
+        exactly (Kirchhoff's current law), except the `terminals` points.
+
+        Vertices match by exact coordinates.  Returns an (m, 3) array; it is
+        empty when every filament belongs to a closed circuit.
+        """
+        points = np.concatenate([self.starts, self.ends])
+        flow = np.concatenate([-self.currents, self.currents])
+        order = np.lexsort(points.T)
+        points, flow = points[order], flow[order]
+        first = np.flatnonzero(np.concatenate(
+            [[True], (points[1:] != points[:-1]).any(axis=1)]))
+        bad = points[first[np.add.reduceat(flow, first) != 0.0]]
+        term = np.asarray(terminals, dtype=float).reshape(-1, 3)
+        return bad[~(bad[:, None, :] == term[None, :, :]).all(axis=2).any(axis=1)]
 
     # -- geometric transforms (handy for symmetry tests and scaling)
 
     def translated(self, offset) -> "SegmentList":
         off = np.asarray(offset, dtype=float)
         return SegmentList(self.starts + off, self.ends + off, self.currents,
-                           list(self.group_ids), self.closed_groups)
+                           list(self.group_ids))
 
     def transformed(self, matrix) -> "SegmentList":
         m = np.asarray(matrix, dtype=float)
         return SegmentList(self.starts @ m.T, self.ends @ m.T, self.currents,
-                           list(self.group_ids), self.closed_groups)
+                           list(self.group_ids))
 
     def scaled(self, k: float) -> "SegmentList":
         if k <= 0:
             raise InvalidInput("scale factor must be positive")
         return SegmentList(self.starts * k, self.ends * k, self.currents,
-                           list(self.group_ids), self.closed_groups)
+                           list(self.group_ids))
 
     def with_currents_scaled(self, k: float) -> "SegmentList":
         return SegmentList(self.starts, self.ends, self.currents * k,
-                           list(self.group_ids), self.closed_groups)
-
-    def max_chain_gap(self, group_id) -> float:
-        """Largest endpoint gap along the stored segment order of a group."""
-        m = self.group_mask(group_id)
-        s, e = self.starts[m], self.ends[m]
-        gaps = np.linalg.norm(s[1:] - e[:-1], axis=1)
-        wrap = np.linalg.norm(s[0] - e[-1])
-        return float(max(gaps.max(initial=0.0), wrap))
-
-    def _check_chaining(self):
-        for g in self.closed_groups:
-            gap = self.max_chain_gap(g)
-            if gap >= CHAIN_TOL:
-                raise InvalidGeometry(f"closed group {g!r} has endpoint gap {gap:.3e} m")
+                           list(self.group_ids))
 
 
 def path_length(group: SegmentList) -> float:
@@ -207,46 +202,48 @@ class Discretization:
             raise InvalidInput("segments_per_turn must be >= 8")
         if self.bundle_filaments < 1 or self.arm_grid < 1:
             raise InvalidInput("filament counts must be >= 1")
+        # a worst-case estimate, checked before any builder allocates: two
+        # circuits per bundle filament, each under 2 (segments_per_turn + 64)
+        # segments, plus a coil pair; the builders stay under 40 % of it
+        filaments = max(self.bundle_filaments, self.arm_grid ** 2)
+        if (4 * filaments + 2) * (self.segments_per_turn + 64) > MAX_SEGMENTS:
+            raise InvalidInput(f"discretization may need more than "
+                               f"{MAX_SEGMENTS} segments")
 
 
-VARIANTS = ("AntiHelmholtz", "IoffePritchard", "TwistedCage", "CompactFour",
-            "TwoPiece", "FreePath")
+# parameter kinds: lengths are millimetres in JSON and metres inside, points
+# are [x, y, z] lengths, numbers (currents, angles) and flags pass unchanged
+LENGTH, POINTS, NUMBER, FLAG = "length", "points", "number", "flag"
 
-# parameter names and which of them are lengths (mm in JSON, m internally)
-_VARIANT_PARAMS = {
-    "AntiHelmholtz": {"radius": True, "separation": True, "current": False,
-                      "wire_diameter": True},
-    "IoffePritchard": {"bar_length": True, "bar_radius": True, "bar_current": False,
-                       "coil_radius": True, "coil_separation": True,
-                       "coil_current": False, "wire_diameter": True},
-    "TwistedCage": {"height": True, "outer_width": True, "bar_diameter": True,
-                    "twist_angle": False, "current": False},
-    "CompactFour": {"height": True, "width": True, "hole_diameter": True,
-                    "gap": True, "current_per_conductor": False},
-    "TwoPiece": {"height": True, "outer_diameter": True, "arm_width": True,
-                 "hole_diameter": True, "gap": True, "current_per_conductor": False,
-                 "arm_depth": True},
-    "FreePath": {"points": True, "current": False, "closed": False},
-}
 
-_VARIANT_DEFAULTS = {
-    "AntiHelmholtz": {"radius": 0.050, "separation": 0.050, "current": 100.0,
-                      "wire_diameter": 0.001},
-    "IoffePritchard": {"bar_length": 0.110, "bar_radius": 0.0225, "bar_current": 100.0,
-                       "coil_radius": 0.030, "coil_separation": 0.080,
-                       "coil_current": 100.0, "wire_diameter": 0.001},
-    # reference design: 110 mm tall, 55 mm outer width, 10 mm bars, 100 A
-    "TwistedCage": {"height": 0.110, "outer_width": 0.055, "bar_diameter": 0.010,
-                    "twist_angle": 0.5, "current": 100.0},
-    # reference design: 45 mm tall, 24 mm wide, 15 mm holes, 0.5 mm gaps, 40 A
-    "CompactFour": {"height": 0.045, "width": 0.024, "hole_diameter": 0.015,
-                    "gap": 0.0005, "current_per_conductor": 40.0},
-    # reference design: 38 mm tall, 26 mm outer diameter, 3.1 mm arms, 25 A
-    "TwoPiece": {"height": 0.038, "outer_diameter": 0.026, "arm_width": 0.0031,
-                 "hole_diameter": 0.015, "gap": 0.0005, "current_per_conductor": 25.0,
-                 "arm_depth": 0.0016},
-    "FreePath": {"points": (), "current": 1.0, "closed": False},
-}
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _check_parameter(key, kind, value):
+    if kind == LENGTH and not (_finite(value) and value > 0):
+        raise InvalidInput(f"parameter {key!r} must be a positive length")
+    if kind == NUMBER and not _finite(value):
+        raise InvalidInput(f"parameter {key!r} must be a finite number")
+    if kind == POINTS and not (isinstance(value, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_finite, p))
+            for p in value)):
+        raise InvalidInput(f"parameter {key!r} must be a list of [x, y, z] points")
+
+
+def _scale(kind, value, k):
+    """A parameter value with every length in it multiplied by k."""
+    if kind == LENGTH:
+        return value * k
+    if kind == POINTS:
+        return tuple(tuple(k * c for c in p) for p in value)
+    return value
+
+
+def _variant(name) -> "Variant":
+    if not isinstance(name, str) or name not in REGISTRY:
+        raise InvalidInput(f"unknown variant {name!r}")
+    return REGISTRY[name]
 
 
 @dataclass(frozen=True)
@@ -258,18 +255,14 @@ class GeometrySpec:
     discretization: Discretization = field(default_factory=Discretization)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise InvalidInput(f"unknown variant {self.variant!r}")
-        known = _VARIANT_PARAMS[self.variant]
-        merged = dict(_VARIANT_DEFAULTS[self.variant])
+        known = _variant(self.variant).parameters
+        merged = {key: default for key, (_, default) in known.items()}
         for key, value in self.parameters.items():
             if key not in known:
                 raise InvalidInput(f"unknown parameter {key!r} for {self.variant}")
             merged[key] = value
-        for key, is_length in known.items():
-            if is_length and key != "points":
-                if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
-                    raise InvalidInput(f"parameter {key!r} must be a positive length")
+        for key, (kind, _) in known.items():
+            _check_parameter(key, kind, merged[key])
         object.__setattr__(self, "parameters", merged)
 
     def replace_parameters(self, **updates) -> "GeometrySpec":
@@ -277,40 +270,25 @@ class GeometrySpec:
         params.update(updates)
         return replace(self, parameters=params)
 
+    def _scaled_parameters(self, k: float) -> dict:
+        known = REGISTRY[self.variant].parameters
+        return {key: _scale(known[key][0], value, k)
+                for key, value in self.parameters.items()}
+
     def scaled(self, k: float) -> "GeometrySpec":
         """Scale every length parameter by k (currents untouched)."""
         if k <= 0:
             raise InvalidInput("scale factor must be positive")
-        params = {}
-        for key, value in self.parameters.items():
-            if key == "points":
-                params[key] = tuple(tuple(k * c for c in p) for p in value)
-            elif _VARIANT_PARAMS[self.variant][key]:
-                params[key] = value * k
-            else:
-                params[key] = value
-        return replace(self, parameters=params)
+        return replace(self, parameters=self._scaled_parameters(k))
 
     # -- JSON round trip.  Lengths are millimetres on the wire (matching the
     # conventional units of trap drawings); currents in amperes.
 
     def to_json_dict(self) -> dict:
-        params = {}
-        for key, value in self.parameters.items():
-            if key == "points":
-                params[key] = [[c * 1e3 for c in p] for p in value]
-            elif _VARIANT_PARAMS[self.variant][key]:
-                params[key] = value * 1e3
-            else:
-                params[key] = value
         return {
             "variant": self.variant,
-            "parameters": params,
-            "discretization": {
-                "segments_per_turn": self.discretization.segments_per_turn,
-                "bundle_filaments": self.discretization.bundle_filaments,
-                "arm_grid": self.discretization.arm_grid,
-            },
+            "parameters": self._scaled_parameters(1e3),
+            "discretization": asdict(self.discretization),
         }
 
     @classmethod
@@ -322,39 +300,46 @@ class GeometrySpec:
         if unknown:
             raise InvalidInput(f"unknown geometry keys: {sorted(unknown)}")
         variant = doc.get("variant")
-        if variant not in VARIANTS:
-            raise InvalidInput(f"unknown variant {variant!r}")
+        known = _variant(variant).parameters
         raw = doc.get("parameters", {})
         if not isinstance(raw, dict):
             raise InvalidInput("parameters must be an object")
-        known = _VARIANT_PARAMS[variant]
         params = {}
         for key, value in raw.items():
             if key not in known:
                 raise InvalidInput(f"unknown parameter {key!r} for {variant}")
-            if key == "points":
-                params[key] = tuple(tuple(c * 1e-3 for c in p) for p in value)
-            elif known[key]:
-                params[key] = float(value) * 1e-3
-            else:
-                params[key] = value if key == "closed" else float(value)
+            kind = known[key][0]
+            if kind in (LENGTH, NUMBER):
+                value = float(value)
+            params[key] = _scale(kind, value, 1e-3)
         disc_doc = doc.get("discretization", {})
+        if not isinstance(disc_doc, dict):
+            raise InvalidInput("discretization must be an object")
         unknown = set(disc_doc) - {"segments_per_turn", "bundle_filaments", "arm_grid"}
         if unknown:
             raise InvalidInput(f"unknown discretization keys: {sorted(unknown)}")
         disc = Discretization(**{k: int(v) for k, v in disc_doc.items()})
         return cls(variant=variant, parameters=params, discretization=disc)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeometrySpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # elementary builders
+#
+# The private builders below return circuits, tuples (starts, ends, current,
+# group_ids) with one current per circuit; `_assemble` concatenates them
+# into one SegmentList.
+
+
+def _assemble(circuits, matrix=None) -> SegmentList:
+    """One SegmentList from circuits, rotated by `matrix` once concatenated."""
+    starts = np.concatenate([c[0] for c in circuits])
+    ends = np.concatenate([c[1] for c in circuits])
+    currents = np.concatenate([np.full(len(c[3]), float(c[2])) for c in circuits])
+    group_ids = [g for c in circuits for g in c[3]]
+    if matrix is not None:
+        m = np.asarray(matrix, dtype=float)
+        starts, ends = starts @ m.T, ends @ m.T
+    return SegmentList(starts, ends, currents, group_ids)
 
 
 def _frame(normal):
@@ -372,9 +357,7 @@ def _frame(normal):
     return u, v, n
 
 
-def make_loop(center, radius, normal, current, n_segments, group_id="loop") -> SegmentList:
-    """Regular n-gon inscribed in a circle; current sign follows the
-    right-hand rule about `normal`."""
+def _loop(center, radius, normal, current, n_segments, group_id):
     if radius <= 0:
         raise InvalidGeometry("loop radius must be positive")
     if n_segments < 3:
@@ -383,7 +366,14 @@ def make_loop(center, radius, normal, current, n_segments, group_id="loop") -> S
     center = np.asarray(center, dtype=float)
     theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
     pts = center + radius * (np.outer(np.cos(theta), u) + np.outer(np.sin(theta), v))
-    return SegmentList.from_polyline(pts, current, group_id=group_id, closed=True)
+    pts = np.vstack([pts, pts[:1]])
+    return pts[:-1], pts[1:], current, [group_id] * n_segments
+
+
+def make_loop(center, radius, normal, current, n_segments, group_id="loop") -> SegmentList:
+    """Regular n-gon inscribed in a circle; current sign follows the
+    right-hand rule about `normal`."""
+    return _assemble([_loop(center, radius, normal, current, n_segments, group_id)])
 
 
 def make_anti_helmholtz(radius, separation, current, n_segments=360) -> SegmentList:
@@ -391,9 +381,9 @@ def make_anti_helmholtz(radius, separation, current, n_segments=360) -> SegmentL
     if radius <= 0 or separation <= 0:
         raise InvalidGeometry("radius and separation must be positive")
     z = separation / 2.0
-    top = make_loop((0, 0, +z), radius, (0, 0, 1), +current, n_segments, "coil_top")
-    bottom = make_loop((0, 0, -z), radius, (0, 0, 1), -current, n_segments, "coil_bottom")
-    return top + bottom
+    return _assemble([
+        _loop((0, 0, +z), radius, (0, 0, 1), +current, n_segments, "coil_top"),
+        _loop((0, 0, -z), radius, (0, 0, 1), -current, n_segments, "coil_bottom")])
 
 
 def make_free_path(points, current, closed=False, group_id="path") -> SegmentList:
@@ -425,10 +415,6 @@ def _grid_offsets(half_u, half_v, n):
     v = np.linspace(-half_v, half_v, n)
     uu, vv = np.meshgrid(u, v, indexing="ij")
     return np.column_stack([uu.ravel(), vv.ravel()])
-
-
-def _cyl(r, phi, z):
-    return np.array([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def _arc_points(radius, z, phi0, phi1, n):
@@ -466,32 +452,23 @@ def _closed_circuit(blocks, current, segments_per_turn):
     Gaps between consecutive blocks (and from the last block back to the
     first) are bridged by connector polylines, so every filament carries its
     current around a closed path and the summed field stays curl-free away
-    from the conductors.
+    from the conductors.  Steps shorter than 1 pm are dropped.
     """
-    starts, ends, gids = [], [], []
-
-    def add(pts, g):
-        pts = np.asarray(pts, dtype=float)
-        for a, b in zip(pts[:-1], pts[1:]):
-            if np.linalg.norm(b - a) > 1e-12:
-                starts.append(a)
-                ends.append(b)
-                gids.append(g)
-
+    polylines = []
     m = len(blocks)
     for i, (pts, g) in enumerate(blocks):
         pts = np.asarray(pts, dtype=float)
-        add(pts, g)
+        polylines.append((pts, g))
         nxt = np.asarray(blocks[(i + 1) % m][0], dtype=float)[0]
         if np.linalg.norm(nxt - pts[-1]) > 1e-12:
-            add(_connector_points(pts[-1], nxt, segments_per_turn), g)
-    return SegmentList(starts, ends, np.full(len(starts), float(current)), gids)
-
-
-def _inversion_image(segments: SegmentList, group_map) -> SegmentList:
-    """Point-inversion image with reversed currents (field is odd under it)."""
-    return SegmentList(-segments.starts, -segments.ends, -segments.currents,
-                       [group_map.get(g, g) for g in segments.group_ids])
+            polylines.append((_connector_points(pts[-1], nxt, segments_per_turn), g))
+    starts, ends, group_ids = [], [], []
+    for pts, g in polylines:
+        keep = np.linalg.norm(pts[1:] - pts[:-1], axis=1) > 1e-12
+        starts.append(pts[:-1][keep])
+        ends.append(pts[1:][keep])
+        group_ids += [g] * int(keep.sum())
+    return np.concatenate(starts), np.concatenate(ends), current, group_ids
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +538,16 @@ def make_twisted_cage(height, outer_width, bar_diameter, twist_angle, current,
     # joining end arcs standing in for the physical end-ring contacts
     share = current / discretization.bundle_filaments
     spt = discretization.segments_per_turn
-    out = None
+    circuits = []
     for k_up in (0, 2):
         k_dn = k_up + 1
         for j in range(discretization.bundle_filaments):
-            circuit = _closed_circuit(
+            circuits.append(_closed_circuit(
                 [(filaments[k_up][j], f"bar{k_up}"),
-                 (filaments[k_dn][j][::-1], f"bar{k_dn}")], share, spt)
-            out = circuit if out is None else out + circuit
+                 (filaments[k_dn][j][::-1], f"bar{k_dn}")], share, spt))
     c = math.cos(math.pi / 4.0)
     rot45 = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
-    return out.transformed(rot45)
+    return _assemble(circuits, rot45)
 
 
 def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
@@ -633,7 +609,7 @@ def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
     # the pieces chain into two closed series loops: top arc of an up piece,
     # down its prong, around the preceding piece's bottom arc and back up
     # that piece's prong
-    out = None
+    circuits = []
     for k_up in (0, 2):
         k_dn = (k_up + 3) % 4
         phi_u = math.pi / 4.0 + k_up * math.pi / 2.0
@@ -652,11 +628,10 @@ def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
                                   n_arc)
             prong_d = [_offset_point(r_prong + dr_p, phi_d, -z_lo, dt_p),
                        _offset_point(r_prong + dr_p, phi_d, z_lo, dt_p)]
-            circuit = _closed_circuit(
+            circuits.append(_closed_circuit(
                 [(top_arc, g_up), (prong_u, g_up),
-                 (bot_arc, g_dn), (prong_d, g_dn)], i_cond / nf, spt)
-            out = circuit if out is None else out + circuit
-    return out.transformed(_CYL_TO_LAB)
+                 (bot_arc, g_dn), (prong_d, g_dn)], i_cond / nf, spt))
+    return _assemble(circuits, _CYL_TO_LAB)
 
 
 def make_two_piece(height, outer_diameter, arm_width, hole_diameter, gap,
@@ -709,7 +684,7 @@ def make_two_piece(height, outer_diameter, arm_width, hole_diameter, gap,
     # piece A: down the 45 deg arm, 270 deg clockwise around the bottom ring
     # (via 315/225 deg), up the 135 deg arm; the circuit closes through
     # vertical feed leads joined far above the trap
-    a = None
+    piece_a = []
     for j in range(nf):
         dr, dt = offs_arm[j]
         drr, dzr = offs_ring[j]
@@ -721,15 +696,14 @@ def make_two_piece(height, outer_diameter, arm_width, hole_diameter, gap,
                 _offset_point(r_arm + dr, p135, height / 2.0, dt)]
         leads = [np.array([arm2[1][0], arm2[1][1], z_far]),
                  np.array([arm1[0][0], arm1[0][1], z_far])]
-        circuit = _closed_circuit(
+        piece_a.append(_closed_circuit(
             [(arm1, "piece_a"), (ring, "piece_a"),
-             (arm2, "piece_a"), (leads, "piece_a")], i_cond / nf, spt)
-        a = circuit if a is None else a + circuit
+             (arm2, "piece_a"), (leads, "piece_a")], i_cond / nf, spt))
 
     # piece B: point-inversion image with the current sense reversed (its
     # ring sits at the top); the pair is odd under inversion + reversal
-    b = _inversion_image(a, {"piece_a": "piece_b"})
-    return (a + b).transformed(_CYL_TO_LAB)
+    piece_b = [(-s, -e, -i, ["piece_b"] * len(g)) for s, e, i, g in piece_a]
+    return _assemble(piece_a + piece_b, _CYL_TO_LAB)
 
 
 def make_ioffe_pritchard(bar_length, bar_radius, bar_current, coil_radius,
@@ -739,7 +713,7 @@ def make_ioffe_pritchard(bar_length, bar_radius, bar_current, coil_radius,
     carrying parallel currents."""
     if min(bar_length, bar_radius, coil_radius, coil_separation) <= 0:
         raise InvalidGeometry("dimensions must be positive")
-    out = None
+    circuits = []
     spt = discretization.segments_per_turn
     for k_up in (0, 2):
         phi_u = math.pi / 4.0 + k_up * math.pi / 2.0
@@ -750,45 +724,13 @@ def make_ioffe_pritchard(bar_length, bar_radius, bar_current, coil_radius,
                  _offset_point(bar_radius, phi_d, -bar_length / 2.0)]
         # adjacent bars with opposite currents close through end arcs,
         # standing in for the physical end contacts
-        circuit = _closed_circuit([(bar_u, f"bar{k_up}"),
-                                   (bar_d, f"bar{k_up + 1}")], bar_current, spt)
-        out = circuit if out is None else out + circuit
-    n = discretization.segments_per_turn
-    out = out + make_loop((0, 0, +coil_separation / 2.0), coil_radius, (0, 0, 1),
-                          coil_current, n, "coil_top")
-    out = out + make_loop((0, 0, -coil_separation / 2.0), coil_radius, (0, 0, 1),
-                          coil_current, n, "coil_bottom")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def build(spec: GeometrySpec) -> SegmentList:
-    """Realise a GeometrySpec as a filament SegmentList."""
-    p = spec.parameters
-    d = spec.discretization
-    if spec.variant == "AntiHelmholtz":
-        return make_anti_helmholtz(p["radius"], p["separation"], p["current"],
-                                   d.segments_per_turn)
-    if spec.variant == "IoffePritchard":
-        return make_ioffe_pritchard(p["bar_length"], p["bar_radius"], p["bar_current"],
-                                    p["coil_radius"], p["coil_separation"],
-                                    p["coil_current"], d)
-    if spec.variant == "TwistedCage":
-        return make_twisted_cage(p["height"], p["outer_width"], p["bar_diameter"],
-                                 p["twist_angle"], p["current"], d)
-    if spec.variant == "CompactFour":
-        return make_compact_four(p["height"], p["width"], p["hole_diameter"],
-                                 p["gap"], p["current_per_conductor"], d)
-    if spec.variant == "TwoPiece":
-        return make_two_piece(p["height"], p["outer_diameter"], p["arm_width"],
-                              p["hole_diameter"], p["gap"],
-                              p["current_per_conductor"], p["arm_depth"], d)
-    if spec.variant == "FreePath":
-        return make_free_path(p["points"], p["current"], bool(p["closed"]))
-    raise InvalidInput(f"unknown variant {spec.variant!r}")
+        circuits.append(_closed_circuit([(bar_u, f"bar{k_up}"),
+                                         (bar_d, f"bar{k_up + 1}")], bar_current, spt))
+    circuits.append(_loop((0, 0, +coil_separation / 2.0), coil_radius, (0, 0, 1),
+                          coil_current, spt, "coil_top"))
+    circuits.append(_loop((0, 0, -coil_separation / 2.0), coil_radius, (0, 0, 1),
+                          coil_current, spt, "coil_bottom"))
+    return _assemble(circuits)
 
 
 # ---------------------------------------------------------------------------
@@ -801,14 +743,19 @@ _BEAM_AXES = (np.array([1.0, 0.0, 0.0]),
 
 
 def _segment_line_distance(starts, ends, axis):
-    """Distance from each segment to an infinite line through the origin."""
+    """Exact distance from each segment to an infinite line through the origin."""
     d = axis / np.linalg.norm(axis)
-    # sample each segment densely; exact segment/line distance adds little
-    # over this for short segments
-    ts = np.linspace(0.0, 1.0, 9)
-    pts = starts[:, None, :] + ts[None, :, None] * (ends - starts)[:, None, :]
-    perp = pts - (pts @ d)[..., None] * d
-    return np.linalg.norm(perp, axis=2).min(axis=1)
+    line = ends - starts
+    # across the axis a segment runs u + t w for t in [0, 1]; its closest
+    # approach is at t = -(u.w) / |w|^2, or anywhere when w = 0
+    u = starts - (starts @ d)[:, None] * d
+    w = line - (line @ d)[:, None] * d
+    ww = np.einsum("ij,ij->i", w, w)
+    t = np.divide(-np.einsum("ij,ij->i", u, w), ww, out=np.zeros_like(ww),
+                  where=ww > 0.0)
+    pts = starts + np.clip(t, 0.0, 1.0)[:, None] * line
+    perp = pts - (pts @ d)[:, None] * d
+    return np.linalg.norm(perp, axis=1)
 
 
 def clearance_check(segments: SegmentList, beam_diameter: float,
@@ -843,70 +790,161 @@ class ConductorSection:
     current: float       # A carried by the physical conductor
 
 
+def _anti_helmholtz_sections(p):
+    area = math.pi * (p["wire_diameter"] / 2.0) ** 2
+    length = 2.0 * math.pi * p["radius"]
+    return [ConductorSection("coil_top", "winding", length, area, p["current"]),
+            ConductorSection("coil_bottom", "winding", length, area, p["current"])]
+
+
+def _ioffe_pritchard_sections(p):
+    area = math.pi * (p["wire_diameter"] / 2.0) ** 2
+    out = [ConductorSection(f"bar{k}", "bar", p["bar_length"], area,
+                            p["bar_current"]) for k in range(4)]
+    out += [ConductorSection(g, "winding", 2.0 * math.pi * p["coil_radius"],
+                             area, p["coil_current"])
+            for g in ("coil_top", "coil_bottom")]
+    return out
+
+
+def _twisted_cage_sections(p):
+    area = math.pi * (p["bar_diameter"] / 2.0) ** 2
+    # arc length of the twisted centreline
+    segs = make_twisted_cage(**p, discretization=Discretization(64, 1, 1))
+    out = []
+    for k in range(4):
+        length = path_length(segs.group(f"bar{k}"))
+        out.append(ConductorSection(f"bar{k}", "bar", length, area, p["current"]))
+    return out
+
+
+def _compact_four_sections(p):
+    r_out = p["width"] / 2.0
+    r_hole = p["hole_diameter"] / 2.0
+    prong_len = p["hole_diameter"] + (p["height"] / 2.0 - r_hole)  # to arc mid
+    prong_area = 2.0e-6  # slim wedge between the beam holes
+    arc_len = (math.pi / 2.0) * 0.5 * (r_out + r_hole)
+    arc_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
+    out = []
+    for k in range(4):
+        g = f"conductor{k}"
+        out.append(ConductorSection(g, "prong", prong_len, prong_area,
+                                    p["current_per_conductor"]))
+        out.append(ConductorSection(g, "arc", arc_len, arc_area,
+                                    p["current_per_conductor"]))
+    return out
+
+
+def _two_piece_sections(p):
+    r_out = p["outer_diameter"] / 2.0
+    r_hole = p["hole_diameter"] / 2.0
+    z_ring = 0.5 * (r_hole + p["height"] / 2.0)
+    arm_len = p["height"] / 2.0 + z_ring
+    arm_area = p["arm_width"] * p["arm_depth"]
+    ring_len = 1.5 * math.pi * 0.5 * (r_out + r_hole)  # 270 deg sweep
+    ring_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
+    out = []
+    for g in ("piece_a", "piece_b"):
+        out.append(ConductorSection(g, "arm", arm_len, arm_area,
+                                    p["current_per_conductor"]))
+        out.append(ConductorSection(g, "arm", arm_len, arm_area,
+                                    p["current_per_conductor"]))
+        out.append(ConductorSection(g, "ring", ring_len, ring_area,
+                                    p["current_per_conductor"]))
+    return out
+
+
+def _free_path_sections(p):
+    area = math.pi * (0.5e-3) ** 2  # nominal 1 mm wire
+    return [ConductorSection("path", "wire", path_length(make_free_path(**p)),
+                             area, p["current"])]
+
+
+# ---------------------------------------------------------------------------
+# variant registry
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One trap family: its parameters as name -> (kind, SI default), its
+    builder (parameters, discretization) -> SegmentList, its solid conductor
+    sections (parameters) -> [ConductorSection] and its terminals
+    (parameters) -> points where current may enter or leave the filaments."""
+
+    parameters: dict
+    build: Callable
+    sections: Callable
+    terminals: Callable = lambda p: ()
+
+
+REGISTRY = {
+    "AntiHelmholtz": Variant(
+        {"radius": (LENGTH, 0.050), "separation": (LENGTH, 0.050),
+         "current": (NUMBER, 100.0), "wire_diameter": (LENGTH, 0.001)},
+        lambda p, d: make_anti_helmholtz(p["radius"], p["separation"],
+                                         p["current"], d.segments_per_turn),
+        _anti_helmholtz_sections),
+    "IoffePritchard": Variant(
+        {"bar_length": (LENGTH, 0.110), "bar_radius": (LENGTH, 0.0225),
+         "bar_current": (NUMBER, 100.0), "coil_radius": (LENGTH, 0.030),
+         "coil_separation": (LENGTH, 0.080), "coil_current": (NUMBER, 100.0),
+         "wire_diameter": (LENGTH, 0.001)},
+        lambda p, d: make_ioffe_pritchard(p["bar_length"], p["bar_radius"],
+                                          p["bar_current"], p["coil_radius"],
+                                          p["coil_separation"], p["coil_current"], d),
+        _ioffe_pritchard_sections),
+    # reference design: 110 mm tall, 55 mm outer width, 10 mm bars, 100 A
+    "TwistedCage": Variant(
+        {"height": (LENGTH, 0.110), "outer_width": (LENGTH, 0.055),
+         "bar_diameter": (LENGTH, 0.010), "twist_angle": (NUMBER, 0.5),
+         "current": (NUMBER, 100.0)},
+        lambda p, d: make_twisted_cage(**p, discretization=d),
+        _twisted_cage_sections),
+    # reference design: 45 mm tall, 24 mm wide, 15 mm holes, 0.5 mm gaps, 40 A
+    "CompactFour": Variant(
+        {"height": (LENGTH, 0.045), "width": (LENGTH, 0.024),
+         "hole_diameter": (LENGTH, 0.015), "gap": (LENGTH, 0.0005),
+         "current_per_conductor": (NUMBER, 40.0)},
+        lambda p, d: make_compact_four(**p, discretization=d),
+        _compact_four_sections),
+    # reference design: 38 mm tall, 26 mm outer diameter, 3.1 mm arms, 25 A
+    "TwoPiece": Variant(
+        {"height": (LENGTH, 0.038), "outer_diameter": (LENGTH, 0.026),
+         "arm_width": (LENGTH, 0.0031), "hole_diameter": (LENGTH, 0.015),
+         "gap": (LENGTH, 0.0005), "current_per_conductor": (NUMBER, 25.0),
+         "arm_depth": (LENGTH, 0.0016)},
+        lambda p, d: make_two_piece(**p, discretization=d),
+        _two_piece_sections),
+    # an open path is fed at its two ends
+    "FreePath": Variant(
+        {"points": (POINTS, ()), "current": (NUMBER, 1.0), "closed": (FLAG, False)},
+        lambda p, d: make_free_path(**p),
+        _free_path_sections,
+        lambda p: () if p["closed"] else (p["points"][0], p["points"][-1])),
+}
+
+
+def build(spec: GeometrySpec) -> SegmentList:
+    """Realise a GeometrySpec as a filament SegmentList.
+
+    Raises InvalidGeometry unless the currents cancel exactly at every
+    vertex but the variant's terminals, that is unless the filaments form
+    closed circuits.
+    """
+    variant = REGISTRY[spec.variant]
+    segments = variant.build(spec.parameters, spec.discretization)
+    bad = segments.unbalanced_vertices(variant.terminals(spec.parameters))
+    if len(bad):
+        raise InvalidGeometry(
+            f"net current is not zero at {len(bad)} vertices, first at "
+            f"{np.round(bad[0] * 1e3, 6).tolist()} mm")
+    return segments
+
+
 def conductor_sections(spec: GeometrySpec):
     """Per-conductor path sections (length, solid cross-section, current).
 
     Resistance models the printed solid, so areas come from the declared
     dimensions rather than filament counts.
     """
-    p = spec.parameters
-    if spec.variant == "AntiHelmholtz":
-        area = math.pi * (p["wire_diameter"] / 2.0) ** 2
-        length = 2.0 * math.pi * p["radius"]
-        return [ConductorSection("coil_top", "winding", length, area, p["current"]),
-                ConductorSection("coil_bottom", "winding", length, area, p["current"])]
-    if spec.variant == "IoffePritchard":
-        area = math.pi * (p["wire_diameter"] / 2.0) ** 2
-        out = [ConductorSection(f"bar{k}", "bar", p["bar_length"], area,
-                                p["bar_current"]) for k in range(4)]
-        out += [ConductorSection(g, "winding", 2.0 * math.pi * p["coil_radius"],
-                                 area, p["coil_current"])
-                for g in ("coil_top", "coil_bottom")]
-        return out
-    if spec.variant == "TwistedCage":
-        area = math.pi * (p["bar_diameter"] / 2.0) ** 2
-        # arc length of the twisted centreline
-        segs = build(replace(spec, discretization=Discretization(64, 1, 1)))
-        out = []
-        for k in range(4):
-            length = path_length(segs.group(f"bar{k}"))
-            out.append(ConductorSection(f"bar{k}", "bar", length, area, p["current"]))
-        return out
-    if spec.variant == "CompactFour":
-        r_out = p["width"] / 2.0
-        r_hole = p["hole_diameter"] / 2.0
-        prong_len = p["hole_diameter"] + (p["height"] / 2.0 - r_hole)  # to arc mid
-        prong_area = 2.0e-6  # slim wedge between the beam holes
-        arc_len = (math.pi / 2.0) * 0.5 * (r_out + r_hole)
-        arc_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
-        out = []
-        for k in range(4):
-            g = f"conductor{k}"
-            out.append(ConductorSection(g, "prong", prong_len, prong_area,
-                                        p["current_per_conductor"]))
-            out.append(ConductorSection(g, "arc", arc_len, arc_area,
-                                        p["current_per_conductor"]))
-        return out
-    if spec.variant == "TwoPiece":
-        r_out = p["outer_diameter"] / 2.0
-        r_hole = p["hole_diameter"] / 2.0
-        z_ring = 0.5 * (r_hole + p["height"] / 2.0)
-        arm_len = p["height"] / 2.0 + z_ring
-        arm_area = p["arm_width"] * p["arm_depth"]
-        ring_len = 1.5 * math.pi * 0.5 * (r_out + r_hole)  # 270 deg sweep
-        ring_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
-        out = []
-        for g in ("piece_a", "piece_b"):
-            out.append(ConductorSection(g, "arm", arm_len, arm_area,
-                                        p["current_per_conductor"]))
-            out.append(ConductorSection(g, "arm", arm_len, arm_area,
-                                        p["current_per_conductor"]))
-            out.append(ConductorSection(g, "ring", ring_len, ring_area,
-                                        p["current_per_conductor"]))
-        return out
-    if spec.variant == "FreePath":
-        segs = build(spec)
-        area = math.pi * (0.5e-3) ** 2  # nominal 1 mm wire
-        return [ConductorSection("path", "wire", path_length(segs), area,
-                                 p["current"])]
-    raise InvalidInput(f"unknown variant {spec.variant!r}")
+    return REGISTRY[spec.variant].sections(spec.parameters)

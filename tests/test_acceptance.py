@@ -189,8 +189,7 @@ def test_criterion_12_reproducibility(tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out),
-                         "--threads", "1"])
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         outs.append(out)
     for name in files:

@@ -1,9 +1,12 @@
 """End-to-end CLI behaviour: exit codes, files, reproducibility."""
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motkit as mk
 from motkit import cli
@@ -70,10 +73,8 @@ def test_two_piece_preset_report(tmp_path):
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, coil_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run(["simulate", "--config", cfg, "--out", str(out_a),
-                "--threads", "1"]) == 0
-    assert run(["simulate", "--config", cfg, "--out", str(out_b),
-                "--threads", "1"]) == 0
+    assert run(["simulate", "--config", cfg, "--out", str(out_a)]) == 0
+    assert run(["simulate", "--config", cfg, "--out", str(out_b)]) == 0
     for name in SIM_FILES:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -196,3 +197,68 @@ def test_all_presets_load_and_build():
 def test_unknown_preset_name_is_exit_2(tmp_path):
     assert run(["simulate", "--config", "no_such_preset",
                 "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("geometry", [
+    {"variant": "FreePath",
+     "parameters": {"points": [[0, 0], [10, 0], [10, 10]], "closed": True}},
+    {"variant": "AntiHelmholtz",
+     "discretization": {"segments_per_turn": 100_000_000}},
+])
+def test_malformed_geometry_is_exit_2(tmp_path, geometry):
+    cfg = write_config(tmp_path, {"geometry": geometry})
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or not os.listdir(out)
+
+
+_REGISTRY = mk.geometry.REGISTRY
+_PARAMETER_NAMES = sorted({name for variant in _REGISTRY.values()
+                           for name in variant.parameters} | {"bogus"})
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                  st.sampled_from([0.0, -1.0, 1e300, math.inf, math.nan]))
+_numbers = st.one_of(st.integers(-40, 40), st.floats(-60.0, 60.0))
+_points = st.lists(st.one_of(st.lists(_numbers, min_size=3, max_size=3),
+                             st.lists(_numbers, max_size=4)), max_size=5)
+# counts stay small so that no example builds more than a few thousand segments
+_discretization = st.fixed_dictionaries(
+    {"segments_per_turn": st.one_of(st.integers(0, 40), _junk)},
+    optional={"bundle_filaments": st.one_of(st.integers(0, 4), _junk),
+              "arm_grid": st.one_of(st.integers(0, 3), _junk),
+              "bogus": _junk})
+
+
+def _plausible(variant):
+    """Documents of one variant whose values mostly pass validation."""
+    values = {mk.geometry.LENGTH: st.floats(0.05, 80.0),
+              mk.geometry.NUMBER: st.floats(-100.0, 100.0),
+              mk.geometry.POINTS: _points, mk.geometry.FLAG: st.booleans()}
+    return st.fixed_dictionaries(
+        {"variant": st.just(variant),
+         "discretization": st.fixed_dictionaries({
+             "segments_per_turn": st.integers(8, 40),
+             "bundle_filaments": st.integers(1, 4),
+             "arm_grid": st.integers(1, 3)}),
+         "parameters": st.fixed_dictionaries({}, optional={
+             name: values[kind]
+             for name, (kind, _) in _REGISTRY[variant].parameters.items()})})
+
+
+_geometry = st.one_of(
+    _junk,
+    st.fixed_dictionaries(
+        {"variant": st.sampled_from(sorted(_REGISTRY) + ["Bogus"]),
+         "discretization": st.one_of(_discretization, _junk)},
+        optional={"parameters": st.one_of(
+            st.dictionaries(st.sampled_from(_PARAMETER_NAMES),
+                            st.one_of(_numbers, _points, _junk), max_size=4),
+            _junk)}),
+    st.sampled_from(sorted(_REGISTRY)).flatmap(_plausible))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_geometry)
+def test_export_ends_in_a_documented_exit_code(tmp_path_factory, geometry):
+    tmp_path = tmp_path_factory.mktemp("export")
+    cfg = write_config(tmp_path, {"geometry": geometry})
+    assert run(["export", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 2, 3, 4)

@@ -111,16 +111,6 @@ def test_all_singular_raises_empty_sample():
         mk.sample_line(segs, (0, 0, 0), (0, 0, 1.0), 0.5, 11)
 
 
-def test_thread_count_does_not_change_results():
-    segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 90)
-    serial = mk.sample_plane(segs, (0, 0, 0), (1, 0, 0), (0, 0, 1), 0.004, 7, 7,
-                             threads=1)
-    threaded = mk.sample_plane(segs, (0, 0, 0), (1, 0, 0), (0, 0, 1), 0.004, 7, 7,
-                               threads=4)
-    assert np.array_equal(serial.B, threaded.B)
-    assert mk.field_map_csv(serial) == mk.field_map_csv(threaded)
-
-
 def test_csv_header_and_rows():
     segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
     fmap = mk.sample_line(segs, (0.01, 0, 0), (0, 0, 1), 0.005, 4)
@@ -187,16 +177,15 @@ def kernel_points(segments, n, rng):
                       segments.starts[::89]])
 
 
-def test_field_many_is_bitwise_independent_of_chunks_and_threads(monkeypatch):
+def test_field_many_is_bitwise_independent_of_chunks(monkeypatch):
     segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 90)
     points = kernel_points(segs, 200, np.random.default_rng(3))
     reference = mk.field_many(segs, points)
     assert np.isnan(reference[:, 0]).sum() >= 2
     for chunk in (1, 7, _CHUNK_PAIRS, 1 << 20):
         monkeypatch.setattr(mk.field, "_CHUNK_PAIRS", chunk)
-        for threads in (1, 4):
-            B = mk.field_many(segs, points, threads=threads)
-            assert B.tobytes() == reference.tobytes(), (chunk, threads)
+        B = mk.field_many(segs, points)
+        assert B.tobytes() == reference.tobytes(), chunk
 
 
 def test_field_many_nan_rows_exactly_within_eps_sing():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import motkit as mk
+from motkit import cli
 from motkit.errors import InvalidGeometry, InvalidInput
 
 
@@ -19,18 +20,43 @@ def test_closed_polyline_chains_head_to_tail():
     square = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
     segs = mk.SegmentList.from_polyline(square, 1.0, group_id="sq", closed=True)
     assert len(segs) == 4
-    assert segs.max_chain_gap("sq") < 1e-12
+    assert segs.unbalanced_vertices().shape == (0, 3)
     assert mk.path_length(segs) == pytest.approx(4.0)
 
 
 def test_closed_group_with_gap_rejected():
-    open_pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
-    with pytest.raises(InvalidGeometry):
-        mk.SegmentList(
-            [(0, 0, 0), (1, 0, 0)], [(1, 0, 0), (1, 1, 0)], [1.0, 1.0],
-            ["g", "g"], closed_groups=("g",))
-    # same chain without the closed declaration is fine
-    mk.SegmentList.from_polyline(open_pts, 1.0, group_id="g", closed=False)
+    # a square whose closing side stops 1 nm short of its first vertex
+    pts = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1e-9, 0)])
+    gapped = mk.SegmentList(pts[:-1], pts[1:], np.ones(4), ["g"] * 4)
+    assert sorted(map(tuple, gapped.unbalanced_vertices())) == [
+        (0.0, 0.0, 0.0), (0.0, 1e-9, 0.0)]
+    assert len(gapped.unbalanced_vertices(terminals=[pts[0], pts[-1]])) == 0
+    # an open FreePath is fed at its two ends, so build() accepts it
+    spec = mk.GeometrySpec("FreePath", {"points": tuple(map(tuple, pts))})
+    assert len(mk.build(spec)) == 4
+    closed = mk.GeometrySpec("FreePath", {"points": tuple(map(tuple, pts)),
+                                          "closed": True})
+    assert len(mk.build(closed)) == 5
+
+
+def test_build_rejects_a_dropped_connector(monkeypatch, tmp_path):
+    real = mk.geometry._connector_points
+    dropped = []
+
+    def connector(p0, p1, segments_per_turn):
+        pts = real(p0, p1, segments_per_turn)
+        if dropped:
+            return pts
+        dropped.append(p0)
+        return pts[:1]   # the first contact of the build goes missing
+
+    monkeypatch.setattr(mk.geometry, "_connector_points", connector)
+    with pytest.raises(InvalidGeometry, match="net current"):
+        mk.build(mk.GeometrySpec("CompactFour"))
+    dropped.clear()
+    out = tmp_path / "out"
+    assert cli.main(["export", "--config", "compact_four", "--out", str(out)]) == 2
+    assert dropped and not (out / "geometry.obj").exists()
 
 
 def test_make_loop_right_hand_rule():
@@ -70,6 +96,15 @@ def test_spec_rejects_unknown_names():
         mk.GeometrySpec("NoSuchTrap")
     with pytest.raises(InvalidInput):
         mk.GeometrySpec("TwoPiece", {"bogus_parameter": 1.0})
+
+
+def test_spec_rejects_malformed_points():
+    for points in (((0, 0), (1, 0)), ((0, 0, 0), (1, 0, math.nan)), 5.0,
+                   ((0, 0, 0), "abc")):
+        with pytest.raises(InvalidInput):
+            mk.GeometrySpec("FreePath", {"points": points})
+    with pytest.raises(InvalidGeometry):
+        mk.SegmentList([(0, 0)], [(1, 0)], [1.0], ["g"])
 
 
 def test_spec_scaled_touches_lengths_only():
@@ -115,6 +150,16 @@ def test_clearance_check_against_beam_diameter():
     assert not ok_big and clearance_big < 0.0
 
 
+def test_clearance_is_exact_between_samples():
+    # the path passes 1 mm from the z beam axis, midway between points
+    # that a 9-sample check per segment would test
+    spec = mk.GeometrySpec.from_json_dict({"variant": "FreePath", "parameters": {
+        "points": [[-10, 1, 50], [150, 1, 50]]}})
+    ok, clearance = mk.clearance_check(mk.build(spec), 0.015)
+    assert not ok
+    assert clearance == pytest.approx(-6.5e-3, abs=1e-12)
+
+
 def test_clearance_requires_positive_beam():
     segs = mk.build(mk.GeometrySpec("TwoPiece"))
     with pytest.raises(InvalidInput):
@@ -133,6 +178,11 @@ def test_conductor_sections_positive():
 def test_discretization_validation():
     with pytest.raises(InvalidInput):
         mk.Discretization(segments_per_turn=4)
+    # rejected from the worst-case segment count, before any allocation
+    with pytest.raises(InvalidInput, match="segments"):
+        mk.Discretization(segments_per_turn=100_000_000)
+    with pytest.raises(InvalidInput, match="segments"):
+        mk.Discretization(arm_grid=100_000)
 
 
 def test_anti_helmholtz_on_axis_gradient_matches_analytic():
