@@ -1,12 +1,15 @@
 """Command-line front end: simulate | optimize | scale | export.
 
-Configs are JSON; lengths in millimetres, currents in amperes.  Outputs are
-CSV field maps (SI columns plus a gauss magnitude column), JSON reports, and
-an OBJ-style polyline export.  All files are written via temp-then-rename so
-a failing run leaves no partial output.
+Configs are JSON; lengths in millimetres, currents in amperes, counts
+integers and flags booleans.  Every section is read by
+`geometry.read_fields`; a bound in `bounds_mm` is in its parameter's units.
+Outputs are CSV field maps (SI columns plus a gauss magnitude column), JSON
+reports, and an OBJ-style polyline export.  All files are written via
+temp-then-rename so a failing run leaves no partial output.
 
-Exit codes: 0 ok, 2 usage/config error, 3 infeasible start, 4 numerical
-failure.
+Exit codes: 0 ok, 2 invalid usage, config or value in any section, 3
+infeasible geometry (beam clearance) or infeasible optimizer start, 4
+numerical failure.  Each comes from the `exit_code` of the error class.
 """
 from __future__ import annotations
 
@@ -19,91 +22,68 @@ import tempfile
 import numpy as np
 
 from .analysis import find_field_zero, fit_gradients, mot_suitability
-from .errors import (InfeasibleStart, InvalidGeometry, InvalidInput,
-                     MotKitError, ZeroNotBracketed)
+from .errors import InvalidInput, MotKitError
 from .field import field_map_csv, sample_line, sample_plane
-from .geometry import (COPPER, MATERIALS, GeometrySpec, Material, SegmentList,
-                       build)
+from .geometry import (COPPER, COUNT, LENGTH, MATERIALS, NAME, NUMBER, REGISTRY,
+                       GeometrySpec, Material, SegmentList, build, read_fields)
 from .optimize import ObjectiveSpec, optimize_geometry, trace_csv
 from .power import power_report
 from .scaling import scaling_report
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_NUMERICAL = 4
-
-
-class ConfigError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
+# analysis keys: kind and SI default
+_ANALYSIS = {"window_mm": (LENGTH, 2.0e-3), "samples": (COUNT, 41),
+             "scan_halfrange_mm": (LENGTH, 5.0e-3), "scan_points": (COUNT, 101),
+             "plane_points": (COUNT, 21), "search_radius_mm": (LENGTH, 3.0e-3)}
 
-def _require_keys(doc: dict, allowed: set, context: str):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
+# objective keys named apart from their ObjectiveSpec field
+_OBJECTIVE_FIELDS = {"target_gradient_Gcm": "target_gradient",
+                     "beam_diameter_mm": "beam_diameter",
+                     "max_power_W": "max_power", "power_ref_W": "power_ref",
+                     "bounds_mm": "bounds"}
 
 
-def _parse_material(doc) -> Material:
+def _read_analysis(doc) -> dict:
+    given = read_fields({} if doc is None else doc,
+                        {key: kind for key, (kind, _) in _ANALYSIS.items()},
+                        "analysis")
+    return {key.removesuffix("_mm"): given.get(key, default)
+            for key, (_, default) in _ANALYSIS.items()}
+
+
+def _read_material(doc) -> Material:
     if doc is None:
         return COPPER
     if isinstance(doc, str):
         if doc not in MATERIALS:
-            raise ConfigError(f"unknown material {doc!r}")
+            raise InvalidInput(f"unknown material {doc!r}")
         return MATERIALS[doc]
-    _require_keys(doc, {"name", "resistivity_ohm_m"}, "material")
-    try:
-        return Material(doc.get("name", "custom"),
-                        float(doc["resistivity_ohm_m"]))
-    except (KeyError, ValueError, InvalidInput) as exc:
-        raise ConfigError(f"bad material section: {exc}") from exc
+    given = read_fields(doc, {"name": NAME, "resistivity_ohm_m": NUMBER},
+                        "material")
+    if "resistivity_ohm_m" not in given:
+        raise InvalidInput("material needs resistivity_ohm_m")
+    return Material(given.get("name", "custom"), given["resistivity_ohm_m"])
 
 
-def _parse_analysis(doc) -> dict:
-    doc = doc or {}
-    _require_keys(doc, {"window_mm", "samples", "scan_halfrange_mm",
-                        "scan_points", "plane_points", "search_radius_mm"},
-                  "analysis")
-    return {
-        "window": float(doc.get("window_mm", 2.0)) * 1e-3,
-        "samples": int(doc.get("samples", 41)),
-        "scan_halfrange": float(doc.get("scan_halfrange_mm", 5.0)) * 1e-3,
-        "scan_points": int(doc.get("scan_points", 101)),
-        "plane_points": int(doc.get("plane_points", 21)),
-        "search_radius": float(doc.get("search_radius_mm", 3.0)) * 1e-3,
-    }
-
-
-def _parse_objective(doc) -> ObjectiveSpec:
-    _require_keys(doc, {"target_gradient_Gcm", "target_ratio", "weights",
-                        "beam_diameter_mm", "max_power_W", "bounds_mm",
-                        "power_ref_W"}, "objective")
-    weights = doc.get("weights", {})
-    _require_keys(weights, {"w_mag", "w_ratio", "w_power"}, "objective.weights")
-    bounds = {}
-    for name, pair in doc.get("bounds_mm", {}).items():
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigError(f"bounds for {name!r} must be [lo, hi]")
-        bounds[name] = (float(pair[0]) * 1e-3, float(pair[1]) * 1e-3)
-    try:
-        return ObjectiveSpec(
-            target_gradient=float(doc.get("target_gradient_Gcm", 15.0)),
-            target_ratio=tuple(doc.get("target_ratio", (1.0, 1.0, -2.0))),
-            w_mag=float(weights.get("w_mag", 1.0)),
-            w_ratio=float(weights.get("w_ratio", 1.0)),
-            w_power=float(weights.get("w_power", 0.1)),
-            power_ref=float(doc.get("power_ref_W", 1.0)),
-            beam_diameter=float(doc.get("beam_diameter_mm", 15.0)) * 1e-3,
-            max_power=(float(doc["max_power_W"])
-                       if doc.get("max_power_W") is not None else None),
-            bounds=bounds,
-        )
-    except (ValueError, InvalidInput) as exc:
-        raise ConfigError(f"bad objective section: {exc}") from exc
+def _read_objective(doc, geometry: GeometrySpec) -> ObjectiveSpec:
+    """The objective from the keys the config gives; ObjectiveSpec holds the
+    defaults.  Each bound is read in its parameter's kind."""
+    if isinstance(doc, dict) and doc.get("max_power_W", 0) is None:  # no cap
+        doc = {key: value for key, value in doc.items() if key != "max_power_W"}
+    bounds = {name: (kind, kind) for name, (kind, _)
+              in REGISTRY[geometry.variant].parameters.items()
+              if kind in (LENGTH, NUMBER)}
+    given = read_fields(doc, {
+        "target_gradient_Gcm": NUMBER, "target_ratio": (NUMBER,) * 3,
+        "weights": dict.fromkeys(("w_mag", "w_ratio", "w_power"), NUMBER),
+        "beam_diameter_mm": LENGTH, "max_power_W": NUMBER,
+        "bounds_mm": bounds, "power_ref_W": NUMBER}, "objective")
+    return ObjectiveSpec(**given.pop("weights", {}),
+                         **{_OBJECTIVE_FIELDS.get(key, key): value
+                            for key, value in given.items()})
 
 
 def resolve_config_path(name: str) -> str:
@@ -118,7 +98,7 @@ def resolve_config_path(name: str) -> str:
     candidate = os.path.join(os.path.dirname(__file__), "presets", base)
     if os.path.basename(base) == base and os.path.exists(candidate):
         return candidate
-    raise ConfigError(f"config {name!r} is neither a file nor a bundled preset")
+    raise InvalidInput(f"config {name!r} is neither a file nor a bundled preset")
 
 
 def load_config(path: str) -> dict:
@@ -126,26 +106,18 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"geometry", "analysis", "material", "objective"},
-                  "config")
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read config {path}: {exc}") from exc
+    doc = read_fields(doc, dict.fromkeys(
+        ("geometry", "analysis", "material", "objective")), "config")
     if "geometry" not in doc:
-        raise ConfigError("config is missing the 'geometry' section")
-    try:
-        geometry = GeometrySpec.from_json_dict(doc["geometry"])
-    except (InvalidInput, InvalidGeometry, TypeError, ValueError,
-            OverflowError) as exc:
-        raise ConfigError(f"bad geometry section: {exc}") from exc
+        raise InvalidInput("config is missing the 'geometry' section")
+    geometry = GeometrySpec.from_json_dict(doc["geometry"])
     return {
         "geometry": geometry,
-        "analysis": _parse_analysis(doc.get("analysis")),
-        "material": _parse_material(doc.get("material")),
-        "objective": (_parse_objective(doc["objective"])
+        "analysis": _read_analysis(doc.get("analysis")),
+        "material": _read_material(doc.get("material")),
+        "objective": (_read_objective(doc["objective"], geometry)
                       if "objective" in doc else None),
     }
 
@@ -172,9 +144,9 @@ def _check_outdir(out: str):
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+            raise InvalidInput(f"cannot create output directory {out}: {exc}") from exc
     if not os.access(out, os.W_OK):
-        raise ConfigError(f"output directory {out} is not writable")
+        raise InvalidInput(f"output directory {out} is not writable")
 
 
 def _json_text(doc) -> str:
@@ -220,31 +192,31 @@ def cmd_simulate(args) -> int:
           f"(ratio 1 : {greport.ratio[1]:.3f} : {greport.ratio[2]:.3f})")
     print(f"total power: {preport.total_power:.4f} W ({preport.material.name})")
     print(f"MOT suitability: {'pass' if verdict.passed else 'fail'}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
     if cfg["objective"] is None:
-        raise ConfigError("config is missing the 'objective' section")
+        raise InvalidInput("config is missing the 'objective' section")
     _check_outdir(args.out)
     result = optimize_geometry(cfg["geometry"], cfg["objective"],
                                budget=args.budget, material=cfg["material"])
     _atomic_write(os.path.join(args.out, "opt_result.json"),
                   _json_text(result.to_json_dict()))
     _atomic_write(os.path.join(args.out, "opt_trace.csv"), trace_csv(result))
+    kinds = REGISTRY[cfg["geometry"].variant].parameters
     print("best parameters:")
     for name, value in sorted(result.best_parameters.items()):
-        print(f"  {name} = {value * 1e3:.4f} mm")
+        print(f"  {name} = {value * 1e3:.4f} mm" if kinds[name][0] == LENGTH
+              else f"  {name} = {value:.6g}")
     print(f"objective {result.best_objective:.6g} after "
           f"{result.evaluations} evaluations "
           f"({'converged' if result.converged else 'budget exhausted'})")
-    return EXIT_OK
+    return 0
 
 
 def cmd_scale(args) -> int:
-    if args.k <= 0:
-        raise ConfigError("scale factor must be positive")
     report = scaling_report(args.k)
     print(f"linear scale factor k = {report.k:g}")
     print(f"{'quantity':<12}{'ratio':>12}")
@@ -256,7 +228,7 @@ def cmd_scale(args) -> int:
                       _json_text(report.to_json_dict()))
     else:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
-    return EXIT_OK
+    return 0
 
 
 def export_obj(segments: SegmentList) -> str:
@@ -307,7 +279,7 @@ def import_obj(text: str, currents: dict | None = None) -> SegmentList:
             amps.append((currents or {}).get(group, 1.0))
             group_ids.append(group)
     if not group_ids:
-        raise ConfigError("no line elements in OBJ input")
+        raise InvalidInput("no line elements in OBJ input")
     return SegmentList(starts, ends, amps, group_ids)
 
 
@@ -317,7 +289,7 @@ def cmd_export(args) -> int:
     segs = build(cfg["geometry"])
     _atomic_write(os.path.join(args.out, "geometry.obj"), export_obj(segs))
     print(f"wrote {len(segs)} segments in {len(segs.groups())} groups")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +332,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
+        return InvalidInput.exit_code if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except MotKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidInput, InvalidGeometry) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleStart as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ZeroNotBracketed, MotKitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,20 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its command-line
+exit code: 2 invalid input, 3 infeasible design, 4 numerical failure."""
 
 
 class MotKitError(Exception):
     """Base class for all motkit errors."""
 
+    exit_code = 4
+
 
 class InvalidInput(MotKitError):
     """A scalar argument violates its precondition (non-positive length, etc.)."""
+
+    exit_code = 2
 
 
 class InvalidGeometry(MotKitError):
     """A geometry description cannot be realised (degenerate normal, bar collision)."""
 
+    exit_code = 2
+
 
 class ClearanceError(MotKitError):
     """Conductors intrude into the laser beam volume."""
+
+    exit_code = 3
 
 
 class SingularPoint(MotKitError):
@@ -43,3 +52,5 @@ class ObjectiveEvaluationError(MotKitError):
 
 class InfeasibleStart(MotKitError):
     """Optimization started from a point violating a hard constraint."""
+
+    exit_code = 3

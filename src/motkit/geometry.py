@@ -16,7 +16,8 @@ Internal units are strict SI (metre, ampere).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -176,8 +177,8 @@ class Material:
     resistivity: float  # ohm * m
 
     def __post_init__(self):
-        if self.resistivity <= 0:
-            raise InvalidInput("resistivity must be positive")
+        if not (math.isfinite(self.resistivity) and self.resistivity > 0):
+            raise InvalidInput("resistivity must be positive and finite")
 
 
 COPPER = Material("copper", 1.68e-8)
@@ -211,24 +212,35 @@ class Discretization:
                                f"{MAX_SEGMENTS} segments")
 
 
-# parameter kinds: lengths are millimetres in JSON and metres inside, points
-# are [x, y, z] lengths, numbers (currents, angles) and flags pass unchanged
-LENGTH, POINTS, NUMBER, FLAG = "length", "points", "number", "flag"
+# value kinds of config fields: lengths are millimetres in JSON and metres
+# inside, points are [x, y, z] lengths, numbers (currents, angles), flags,
+# counts and names pass unchanged
+LENGTH, POINTS, NUMBER, FLAG, COUNT, NAME = (
+    "length", "points", "number", "flag", "count", "name")
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    # NaN compares false, and an integer compares exactly, so one too large
+    # for a float is rejected before anything converts it
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _check_parameter(key, kind, value):
+def _check(key, kind, value):
     if kind == LENGTH and not (_finite(value) and value > 0):
-        raise InvalidInput(f"parameter {key!r} must be a positive length")
+        raise InvalidInput(f"{key} must be a positive length")
     if kind == NUMBER and not _finite(value):
-        raise InvalidInput(f"parameter {key!r} must be a finite number")
+        raise InvalidInput(f"{key} must be a finite number")
     if kind == POINTS and not (isinstance(value, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_finite, p))
             for p in value)):
-        raise InvalidInput(f"parameter {key!r} must be a list of [x, y, z] points")
+        raise InvalidInput(f"{key} must be a list of [x, y, z] points")
+    if kind == FLAG and not isinstance(value, bool):
+        raise InvalidInput(f"{key} must be true or false")
+    if kind == COUNT and not (isinstance(value, int) and not isinstance(value, bool)):
+        raise InvalidInput(f"{key} must be an integer")
+    if kind == NAME and not isinstance(value, str):
+        raise InvalidInput(f"{key} must be a string")
 
 
 def _scale(kind, value, k):
@@ -238,6 +250,36 @@ def _scale(kind, value, k):
     if kind == POINTS:
         return tuple(tuple(k * c for c in p) for p in value)
     return value
+
+
+def read_fields(doc, kinds: dict, context: str) -> dict:
+    """The fields of a JSON object `doc`, checked by kind, lengths in metres.
+
+    `kinds` maps each allowed key to its kind; a dict of kinds reads a
+    nested object, a tuple of kinds a list of that many values, and None
+    takes any value as it is, for its own reader.  Only the keys `doc` gives
+    are returned.  A non-object, an unknown key or a value
+    of the wrong kind raises InvalidInput naming `context`.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{context} must be a JSON object")
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise InvalidInput(f"unknown keys in {context}: {sorted(unknown)}")
+    return {key: _read(kinds[key], value, f"{context}.{key}")
+            for key, value in doc.items()}
+
+
+def _read(kind, value, key):
+    if isinstance(kind, dict):
+        return read_fields(value, kind, key)
+    if isinstance(kind, tuple):
+        if not (isinstance(value, list) and len(value) == len(kind)):
+            raise InvalidInput(f"{key} must be a list of {len(kind)} values")
+        return tuple(_read(k, v, f"{key}[{i}]")
+                     for i, (k, v) in enumerate(zip(kind, value)))
+    _check(key, kind, value)
+    return _scale(kind, float(value) if kind in (LENGTH, NUMBER) else value, 1e-3)
 
 
 def _variant(name) -> "Variant":
@@ -262,7 +304,7 @@ class GeometrySpec:
                 raise InvalidInput(f"unknown parameter {key!r} for {self.variant}")
             merged[key] = value
         for key, (kind, _) in known.items():
-            _check_parameter(key, kind, merged[key])
+            _check(f"parameter {key!r}", kind, merged[key])
         object.__setattr__(self, "parameters", merged)
 
     def replace_parameters(self, **updates) -> "GeometrySpec":
@@ -292,34 +334,16 @@ class GeometrySpec:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "GeometrySpec":
+    def from_json_dict(cls, doc) -> "GeometrySpec":
         if not isinstance(doc, dict):
-            raise InvalidInput("geometry document must be a JSON object")
-        allowed = {"variant", "parameters", "discretization"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidInput(f"unknown geometry keys: {sorted(unknown)}")
+            raise InvalidInput("geometry must be a JSON object")
         variant = doc.get("variant")
-        known = _variant(variant).parameters
-        raw = doc.get("parameters", {})
-        if not isinstance(raw, dict):
-            raise InvalidInput("parameters must be an object")
-        params = {}
-        for key, value in raw.items():
-            if key not in known:
-                raise InvalidInput(f"unknown parameter {key!r} for {variant}")
-            kind = known[key][0]
-            if kind in (LENGTH, NUMBER):
-                value = float(value)
-            params[key] = _scale(kind, value, 1e-3)
-        disc_doc = doc.get("discretization", {})
-        if not isinstance(disc_doc, dict):
-            raise InvalidInput("discretization must be an object")
-        unknown = set(disc_doc) - {"segments_per_turn", "bundle_filaments", "arm_grid"}
-        if unknown:
-            raise InvalidInput(f"unknown discretization keys: {sorted(unknown)}")
-        disc = Discretization(**{k: int(v) for k, v in disc_doc.items()})
-        return cls(variant=variant, parameters=params, discretization=disc)
+        kinds = {key: kind for key, (kind, _) in _variant(variant).parameters.items()}
+        counts = {f.name: COUNT for f in fields(Discretization)}
+        given = read_fields(doc, {"variant": NAME, "parameters": kinds,
+                                  "discretization": counts}, "geometry")
+        return cls(variant, given.get("parameters", {}),
+                   Discretization(**given.get("discretization", {})))
 
 
 # ---------------------------------------------------------------------------

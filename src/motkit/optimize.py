@@ -33,6 +33,10 @@ class ObjectiveSpec:
     fit_window: float = 2.0e-3                 # m
 
     def __post_init__(self):
+        if not (math.isfinite(self.target_gradient) and self.target_gradient > 0):
+            raise InvalidInput("target gradient must be positive and finite")
+        if not (math.isfinite(self.power_ref) and self.power_ref > 0):
+            raise InvalidInput("power reference must be positive and finite")
         if min(self.w_mag, self.w_ratio, self.w_power) < 0:
             raise InvalidInput("weights must be non-negative")
         if max(self.w_mag, self.w_ratio, self.w_power) == 0:

@@ -47,8 +47,8 @@ class ScalingReport:
 
 
 def scaling_report(k: float) -> ScalingReport:
-    if k <= 0:
-        raise InvalidInput("scale factor must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise InvalidInput("scale factor must be positive and finite")
     return ScalingReport(k=k, ratios={name: k ** e
                                       for name, e in RATIO_EXPONENTS.items()})
 

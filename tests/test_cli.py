@@ -103,6 +103,11 @@ def test_unusable_output_directory_is_exit_2(tmp_path):
 def test_missing_config_file_is_exit_2(tmp_path):
     assert run(["simulate", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "o")]) == 2
+    # a file that is not UTF-8 is unreadable too
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert run(["simulate", "--config", str(binary),
+                "--out", str(tmp_path / "o")]) == 2
 
 
 def test_optimize_requires_objective(tmp_path):
@@ -145,6 +150,8 @@ def test_scale_table_and_errors(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "current" in out and "8" in out
     assert run(["scale", "-1"]) == 2
+    assert run(["scale", "nan"]) == 2
+    assert run(["scale", "inf"]) == 2
     out_dir = tmp_path / "s"
     assert run(["scale", "2", "--out", str(out_dir)]) == 0
     doc = json.loads((out_dir / "scaling.json").read_text())
@@ -199,11 +206,81 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("path, value", [
+    (["analysis"], 5), (["analysis"], []),
+    (["analysis", "samples"], "x"), (["analysis", "samples"], None),
+    (["analysis", "samples"], math.inf), (["analysis", "samples"], True),
+    (["analysis", "window_mm"], math.nan),
+    (["analysis", "scan_halfrange_mm"], -5),
+    (["material"], 5), (["material"], []),
+    (["material", "resistivity_ohm_m"], None),
+    (["material", "resistivity_ohm_m"], math.nan),
+    (["objective"], 5), (["objective", "weights"], 5),
+    (["objective", "target_ratio"], 5),
+    (["objective", "target_ratio"], ["a", 1, 1]),
+    (["objective", "bounds_mm"], []),
+    (["objective", "bounds_mm", "radius"], ["a", "b"]),
+    (["objective", "bounds_mm", "bogus"], [1.0, 2.0]),
+    (["objective", "max_power_W"], []), (["objective", "power_ref_W"], 0),
+    (["objective", "weights", "w_mag"], math.nan),
+])
+def test_malformed_config_is_exit_2(tmp_path, path, value):
+    doc = coil_config(objective={
+        "weights": {"w_mag": 1.0, "w_ratio": 1.0, "w_power": 0.0},
+        "bounds_mm": {"radius": [5.0, 60.0]}})
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run(["optimize", "--config", cfg, "--out", str(out),
+                "--budget", "2"]) == 2
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_bounds_are_read_in_their_parameters_units(tmp_path, capsys):
+    doc = {"geometry": {"variant": "TwistedCage"}, "objective": {"bounds_mm": {
+        "twist_angle": [0.1, 0.5], "current": [50, 150], "height": [100, 120]}}}
+    bounds = cli.load_config(write_config(tmp_path, doc))["objective"].bounds
+    assert bounds == {"twist_angle": (0.1, 0.5), "current": (50.0, 150.0),
+                      "height": (100.0 * 1e-3, 120.0 * 1e-3)}
+    doc = coil_config(objective={"bounds_mm": {"current": [50, 150],
+                                               "radius": [40, 60]}})
+    assert run(["optimize", "--config", write_config(tmp_path, doc),
+                "--out", str(tmp_path / "out"), "--budget", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "current = 100\n" in out and "radius = 50.0000 mm" in out
+    free = {"variant": "FreePath",
+            "parameters": {"points": [[0, 0, 0], [10, 0, 0]]}}
+    for bound in ({"points": [1, 2]}, {"closed": [0, 1]},
+                  {"current": [1, math.nan]}, {"current": [1]},
+                  {"current": "ab"}, {"current": [2, 1]}):
+        cfg = write_config(tmp_path, {"geometry": free,
+                                      "objective": {"bounds_mm": bound}})
+        assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--budget", "2"]) == 2
+
+
+def test_clearance_error_while_building_is_exit_3(tmp_path):
+    # a 30 mm hole does not fit in CompactFour's 24 mm width
+    doc = {"geometry": {"variant": "CompactFour",
+                        "parameters": {"hole_diameter": 30.0}}}
+    out = tmp_path / "out"
+    assert run(["export", "--config", write_config(tmp_path, doc),
+                "--out", str(out)]) == 3
+    assert not os.listdir(out)
+
+
 @pytest.mark.parametrize("geometry", [
     {"variant": "FreePath",
      "parameters": {"points": [[0, 0], [10, 0], [10, 10]], "closed": True}},
     {"variant": "AntiHelmholtz",
      "discretization": {"segments_per_turn": 100_000_000}},
+    # flags are booleans and counts integers
+    {"variant": "FreePath", "parameters": {
+        "points": [[0, 0, 0], [10, 0, 0], [10, 10, 0]], "closed": "false"}},
+    {"variant": "AntiHelmholtz", "discretization": {"segments_per_turn": 24.9}},
 ])
 def test_malformed_geometry_is_exit_2(tmp_path, geometry):
     cfg = write_config(tmp_path, {"geometry": geometry})
@@ -262,3 +339,57 @@ def test_export_ends_in_a_documented_exit_code(tmp_path_factory, geometry):
     tmp_path = tmp_path_factory.mktemp("export")
     cfg = write_config(tmp_path, {"geometry": geometry})
     assert run(["export", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 2, 3, 4)
+
+
+def _config(junky):
+    """Whole configs around a tiny coil pair: each section plausible or, if
+    `junky`, junk or an object whose values may be junk."""
+    def section(plausible, required=None):
+        if not junky:
+            return st.fixed_dictionaries(required or {}, optional=plausible)
+        return st.one_of(_junk, st.fixed_dictionaries({}, optional={
+            key: st.one_of(value, _junk)
+            for key, value in {**(required or {}), **plausible}.items()}))
+
+    lengths = st.floats(0.05, 8.0)
+    bound = st.lists(st.floats(1.0, 150.0), min_size=2, max_size=2).map(sorted)
+    # sample counts stay small so that no example is slow
+    analysis = section({
+        "window_mm": lengths, "samples": st.integers(0, 9),
+        "scan_halfrange_mm": lengths, "scan_points": st.integers(0, 9),
+        "plane_points": st.integers(0, 5), "search_radius_mm": lengths})
+    material = st.one_of(
+        st.sampled_from(["copper", "titanium-like", "bogus"]),
+        section({"name": st.text(max_size=3)},
+                required={"resistivity_ohm_m": st.floats(1e-9, 1e-6)}))
+    objective = section({
+        "target_gradient_Gcm": st.floats(1.0, 30.0),
+        "target_ratio": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        "weights": section({"w_mag": st.floats(0.0, 2.0),
+                            "w_ratio": st.floats(0.0, 2.0),
+                            "w_power": st.floats(0.0, 2.0)}),
+        "beam_diameter_mm": st.floats(1.0, 60.0),
+        "max_power_W": st.one_of(st.none(), st.floats(0.0, 300.0)),
+        "power_ref_W": st.floats(0.1, 10.0)},
+        required={"bounds_mm": section({"separation": bound, "current": bound},
+                                       required={"radius": bound})})
+    return st.fixed_dictionaries(
+        {"geometry": st.fixed_dictionaries({
+            "variant": st.just("AntiHelmholtz"),
+            "discretization": st.fixed_dictionaries({
+                "segments_per_turn": st.integers(8, 24)})})},
+        optional={"analysis": analysis, "material": material,
+                  "objective": objective})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(_config))
+def test_every_section_ends_in_a_documented_exit_code(tmp_path_factory, doc):
+    tmp_path = tmp_path_factory.mktemp("config")
+    argv = ["--config", write_config(tmp_path, doc),
+            "--out", str(tmp_path / "out")]
+    if "objective" in doc:
+        argv = ["optimize", *argv, "--budget", "2"]
+    else:
+        argv = ["simulate", *argv]
+    assert run(argv) in (0, 2, 3, 4)

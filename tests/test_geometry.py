@@ -107,6 +107,33 @@ def test_spec_rejects_malformed_points():
         mk.SegmentList([(0, 0)], [(1, 0)], [1.0], ["g"])
 
 
+def test_read_fields_checks_each_kind():
+    g = mk.geometry
+    kinds = {"l": g.LENGTH, "n": g.NUMBER, "c": g.COUNT, "f": g.FLAG,
+             "s": g.NAME, "p": g.POINTS, "pair": (g.NUMBER, g.LENGTH),
+             "sub": {"l": g.LENGTH}, "any": None}
+    doc = {"l": 7, "n": 3, "c": 4, "f": False, "s": "x", "p": [[1, 2, 3]],
+           "pair": [1, 5.5], "sub": {"l": 0.7}, "any": [1, "x"]}
+    # lengths are float() then scaled, bitwise as the JSON round trip does
+    assert g.read_fields(doc, kinds, "t") == {
+        "l": 7.0 * 1e-3, "n": 3.0, "c": 4, "f": False, "s": "x",
+        "p": ((1e-3 * 1, 1e-3 * 2, 1e-3 * 3),), "pair": (1.0, 5.5 * 1e-3),
+        "sub": {"l": 0.7 * 1e-3}, "any": [1, "x"]}
+    assert g.read_fields({}, kinds, "t") == {}
+    for key, bad in [("l", 0), ("l", True), ("l", "7"), ("n", True),
+                     ("n", math.nan), ("n", 10 ** 400), ("n", None),
+                     ("c", 24.9), ("c", True), ("f", "false"), ("f", 0),
+                     ("s", 5), ("p", [[1, 2, True]]), ("pair", [1]),
+                     ("pair", [1, 2, 3]), ("pair", [1, -2]), ("sub", []),
+                     ("sub", {"bogus": 1}), ("bogus", 1)]:
+        with pytest.raises(InvalidInput, match=r"\bt\b"):
+            g.read_fields({key: bad}, kinds, "t")
+    with pytest.raises(InvalidInput):
+        g.read_fields([], kinds, "t")
+    with pytest.raises(InvalidInput):
+        mk.GeometrySpec("AntiHelmholtz", {"current": True})
+
+
 def test_spec_scaled_touches_lengths_only():
     spec = mk.GeometrySpec("AntiHelmholtz").scaled(0.5)
     assert spec.parameters["radius"] == pytest.approx(0.025)

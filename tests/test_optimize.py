@@ -75,6 +75,11 @@ def test_objective_validation():
         mk.ObjectiveSpec(w_mag=0.0, w_ratio=0.0, w_power=0.0)
     with pytest.raises(InvalidInput):
         mk.ObjectiveSpec(bounds={"separation": (0.1, 0.1)})
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            mk.ObjectiveSpec(power_ref=bad)
+        with pytest.raises(InvalidInput):
+            mk.ObjectiveSpec(target_gradient=bad)
     with pytest.raises(InvalidInput):
         mk.optimize_geometry(mk.GeometrySpec("AntiHelmholtz", {}, FAST),
                              mk.ObjectiveSpec(), budget=10)  # no bounds

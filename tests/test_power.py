@@ -1,4 +1,6 @@
 """Resistance, Joule power, current density, and heat-sink arithmetic."""
+import math
+
 import pytest
 
 import motkit as mk
@@ -41,6 +43,9 @@ def test_material_table():
     assert mk.MATERIALS["copper"] is mk.COPPER
     assert mk.TITANIUM_LIKE.resistivity == pytest.approx(
         10.0 * mk.COPPER.resistivity, rel=1e-12)
+    for bad in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            mk.Material("bad", bad)
 
 
 def test_power_scales_exactly_with_resistivity():

@@ -1,4 +1,6 @@
 """Miniaturisation ratio table and its numerical verification."""
+import math
+
 import pytest
 
 import motkit as mk
@@ -26,6 +28,9 @@ def test_scale_factor_must_be_positive():
         mk.scaling_report(0.0)
     with pytest.raises(InvalidInput):
         mk.scaling_report(-2.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            mk.scaling_report(k)
 
 
 def test_numerical_gradient_exponent_constant_power():
