@@ -1,17 +1,16 @@
 """motkit: filament-bundle magnetostatics for compact magneto-optical traps."""
 
-from .analysis import (GradientReport, SuitabilityTargets, SuitabilityVerdict,
-                       find_field_zero, fit_gradients, jacobian_at,
-                       mot_suitability)
+from .analysis import (GradientReport, SuitabilityVerdict, find_field_zero,
+                       fit_gradients, jacobian_at, mot_suitability)
 from .errors import (ClearanceError, DegenerateFit, EmptySample,
                      InfeasibleStart, InvalidGeometry, InvalidInput,
                      MotKitError, ObjectiveEvaluationError, SingularPoint,
                      ZeroNotBracketed)
 from .field import (EPS_SING, MU_0, FieldMap, field_at, field_many,
-                    field_map_csv, sample_line, sample_plane, segment_field)
+                    field_map_csv, sample_line, sample_plane)
 from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, ConductorSection,
-                       Discretization, GeometrySpec, Material, Segment,
-                       SegmentList, build, clearance_check, conductor_sections,
+                       Discretization, GeometrySpec, Material, SegmentList,
+                       build, clearance_check, conductor_sections,
                        make_anti_helmholtz, make_compact_four, make_free_path,
                        make_ioffe_pritchard, make_loop, make_twisted_cage,
                        make_two_piece, path_length)

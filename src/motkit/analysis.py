@@ -19,9 +19,20 @@ from .geometry import SegmentList
 GAUSS_PER_TESLA = 1.0e4
 GCM_PER_TPM = 100.0           # 1 T/m = 100 G/cm
 
+# the one copy of each analysis default, for both `simulate` and `optimize`
+DEFAULT_SEARCH_RADIUS = 3.0e-3  # m
 DEFAULT_WINDOW = 2.0e-3       # m
 DEFAULT_SAMPLES = 41
 DEFAULT_STENCIL = 1.0e-4      # m
+_GRID_N = 11                  # zero-finder grid points per axis
+
+# MOT suitability: minimum-axis gradient range (G/cm), the 1:1:-2 ratio of a
+# quadrupole with its relative tolerance, and the largest residual_rms /
+# (|g| * window)
+GRADIENT_RANGE = (5.0, 25.0)
+TARGET_RATIO = (1.0, 1.0, -2.0)
+RATIO_TOLERANCE = 0.25
+LINEARITY_MAX = 0.1
 
 
 def as_field(source):
@@ -84,8 +95,8 @@ class GradientReport:
         }
 
 
-def find_field_zero(source, search_center=(0.0, 0.0, 0.0), search_radius=5.0e-3,
-                    grid_n: int = 11) -> np.ndarray:
+def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
+                    search_radius=DEFAULT_SEARCH_RADIUS) -> np.ndarray:
     """|B| minimum: coarse grid scan, then Newton steps on B = 0.
 
     Near a quadrupole zero B is linear, so Newton on the vector field is the
@@ -95,7 +106,7 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0), search_radius=5.0e-3,
         raise InvalidInput("search radius must be positive")
     f = as_field(source)
     c = np.asarray(search_center, dtype=float)
-    axis = np.linspace(-search_radius, search_radius, grid_n)
+    axis = np.linspace(-search_radius, search_radius, _GRID_N)
     grid = c + np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                         axis=-1).reshape(-1, 3)
     mags = np.linalg.norm(f(grid), axis=1)
@@ -111,7 +122,8 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0), search_radius=5.0e-3,
             best_m, best = m, index
     if best is None:
         raise ZeroNotBracketed("no non-singular point in the search region")
-    if any(i in (0, grid_n - 1) for i in np.unravel_index(best, (grid_n,) * 3)):
+    if any(i in (0, _GRID_N - 1)
+           for i in np.unravel_index(best, (_GRID_N,) * 3)):
         raise ZeroNotBracketed("|B| minimum lies on the search-region boundary")
 
     best_p = grid[best]
@@ -206,15 +218,6 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
 
 
 @dataclass(frozen=True)
-class SuitabilityTargets:
-    gradient_low: float = 5.0        # G/cm
-    gradient_high: float = 25.0      # G/cm
-    ratio_tolerance: float = 0.25    # relative, about (1, 1, -2)
-    linearity_max: float = 0.1       # residual_rms / (|g| * window)
-    target_ratio: tuple = (1.0, 1.0, -2.0)
-
-
-@dataclass(frozen=True)
 class SuitabilityVerdict:
     magnitude_ok: bool
     ratio_ok: bool
@@ -231,18 +234,17 @@ class SuitabilityVerdict:
                 "details": self.details}
 
 
-def mot_suitability(report: GradientReport,
-                    targets: SuitabilityTargets = SuitabilityTargets()) -> SuitabilityVerdict:
+def mot_suitability(report: GradientReport) -> SuitabilityVerdict:
     """Check gradient magnitude, ratio against 1:1:-2, and fit linearity."""
     gmin = float(np.min(np.abs(report.g)))
-    magnitude_ok = targets.gradient_low <= gmin <= targets.gradient_high
+    magnitude_ok = GRADIENT_RANGE[0] <= gmin <= GRADIENT_RANGE[1]
     ratio_ok = True
-    for r, t in zip(report.ratio, targets.target_ratio):
-        if abs(r - t) > targets.ratio_tolerance * abs(t):
+    for r, t in zip(report.ratio, TARGET_RATIO):
+        if abs(r - t) > RATIO_TOLERANCE * abs(t):
             ratio_ok = False
     window_cm = report.linear_window * 100.0
     linearity = report.residual_rms / max(gmin * window_cm, 1e-30)
-    linearity_ok = linearity < targets.linearity_max
+    linearity_ok = linearity < LINEARITY_MAX
     return SuitabilityVerdict(
         magnitude_ok=magnitude_ok, ratio_ok=ratio_ok, linearity_ok=linearity_ok,
         details={"min_gradient_Gcm": gmin, "linearity": linearity,

@@ -3,9 +3,13 @@
 Configs are JSON; lengths in millimetres, currents in amperes, counts
 integers and flags booleans.  Every section is read by
 `geometry.read_fields`; a bound in `bounds_mm` is in its parameter's units.
-Outputs are CSV field maps (SI columns plus a gauss magnitude column), JSON
-reports, and an OBJ-style polyline export.  All files are written via
-temp-then-rename so a failing run leaves no partial output.
+The `analysis` section is read once: `simulate` and every `optimize`
+evaluation find the zero and fit the gradients with its search radius, fit
+window and sample count, and its sample counts are capped by MAX_SAMPLES
+before anything is built.  Outputs are CSV field maps (SI columns plus a
+gauss magnitude column), JSON reports, and an OBJ-style polyline export.
+All files are written via temp-then-rename so a failing run leaves no
+partial output.
 
 Exit codes: 0 ok, 2 invalid usage, config or value in any section, 3
 infeasible geometry (beam clearance) or infeasible optimizer start, 4
@@ -21,7 +25,8 @@ import tempfile
 
 import numpy as np
 
-from .analysis import find_field_zero, fit_gradients, mot_suitability
+from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
+                       find_field_zero, fit_gradients, mot_suitability)
 from .errors import InvalidInput, MotKitError
 from .field import field_map_csv, sample_line, sample_plane
 from .geometry import (COPPER, COUNT, LENGTH, MATERIALS, NAME, NUMBER, REGISTRY,
@@ -35,9 +40,16 @@ from .scaling import scaling_report
 # config parsing
 
 # analysis keys: kind and SI default
-_ANALYSIS = {"window_mm": (LENGTH, 2.0e-3), "samples": (COUNT, 41),
+_ANALYSIS = {"window_mm": (LENGTH, DEFAULT_WINDOW),
+             "samples": (COUNT, DEFAULT_SAMPLES),
              "scan_halfrange_mm": (LENGTH, 5.0e-3), "scan_points": (COUNT, 101),
-             "plane_points": (COUNT, 21), "search_radius_mm": (LENGTH, 3.0e-3)}
+             "plane_points": (COUNT, 21),
+             "search_radius_mm": (LENGTH, DEFAULT_SEARCH_RADIUS)}
+
+# upper bound on the field samples one command takes: three fit axes, three
+# scans and three planes.  Memory grows with the sample count, since the
+# kernel bounds its own temporaries; the bundled presets take 1,749
+MAX_SAMPLES = 1_000_000
 
 # objective keys named apart from their ObjectiveSpec field
 _OBJECTIVE_FIELDS = {"target_gradient_Gcm": "target_gradient",
@@ -50,8 +62,16 @@ def _read_analysis(doc) -> dict:
     given = read_fields({} if doc is None else doc,
                         {key: kind for key, (kind, _) in _ANALYSIS.items()},
                         "analysis")
-    return {key.removesuffix("_mm"): given.get(key, default)
-            for key, (_, default) in _ANALYSIS.items()}
+    ana = {key.removesuffix("_mm"): given.get(key, default)
+           for key, (_, default) in _ANALYSIS.items()}
+    # a negative count would offset the others in the sum below
+    if min(ana["samples"], ana["scan_points"], ana["plane_points"]) < 1:
+        raise InvalidInput("analysis sample counts must be positive")
+    if 3 * (ana["samples"] + ana["scan_points"]
+            + ana["plane_points"] ** 2) > MAX_SAMPLES:
+        raise InvalidInput(f"analysis asks for more than {MAX_SAMPLES} "
+                           f"field samples")
+    return ana
 
 
 def _read_material(doc) -> Material:
@@ -68,8 +88,9 @@ def _read_material(doc) -> Material:
     return Material(given.get("name", "custom"), given["resistivity_ohm_m"])
 
 
-def _read_objective(doc, geometry: GeometrySpec) -> ObjectiveSpec:
-    """The objective from the keys the config gives; ObjectiveSpec holds the
+def _read_objective(doc, geometry: GeometrySpec, ana: dict) -> ObjectiveSpec:
+    """The objective from the keys the config gives, with the zero search and
+    the gradient fit of the analysis section; ObjectiveSpec holds the
     defaults.  Each bound is read in its parameter's kind."""
     if isinstance(doc, dict) and doc.get("max_power_W", 0) is None:  # no cap
         doc = {key: value for key, value in doc.items() if key != "max_power_W"}
@@ -83,7 +104,9 @@ def _read_objective(doc, geometry: GeometrySpec) -> ObjectiveSpec:
         "bounds_mm": bounds, "power_ref_W": NUMBER}, "objective")
     return ObjectiveSpec(**given.pop("weights", {}),
                          **{_OBJECTIVE_FIELDS.get(key, key): value
-                            for key, value in given.items()})
+                            for key, value in given.items()},
+                         search_radius=ana["search_radius"],
+                         fit_window=ana["window"], fit_samples=ana["samples"])
 
 
 def resolve_config_path(name: str) -> str:
@@ -113,11 +136,12 @@ def load_config(path: str) -> dict:
     if "geometry" not in doc:
         raise InvalidInput("config is missing the 'geometry' section")
     geometry = GeometrySpec.from_json_dict(doc["geometry"])
+    analysis = _read_analysis(doc.get("analysis"))
     return {
         "geometry": geometry,
-        "analysis": _read_analysis(doc.get("analysis")),
+        "analysis": analysis,
         "material": _read_material(doc.get("material")),
-        "objective": (_read_objective(doc["objective"], geometry)
+        "objective": (_read_objective(doc["objective"], geometry, analysis)
                       if "objective" in doc else None),
     }
 

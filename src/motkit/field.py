@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, InvalidInput, SingularPoint
-from .geometry import Segment, SegmentList
+from .geometry import SegmentList
 
 MU_0 = 4.0 * math.pi * 1e-7  # T m / A, exact by convention here
 EPS_SING = 1e-7              # m: singular tube radius around each filament
@@ -106,13 +106,6 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
     for start in range(0, points.shape[0], rows):
         out[start:start + rows] = _field_chunk(seg, points[start:start + rows])
     return out
-
-
-def segment_field(seg: Segment, p) -> np.ndarray:
-    """Exact field of one finite straight filament at point p (tesla)."""
-    p = np.asarray(p, dtype=float)
-    sl = SegmentList([seg.a], [seg.b], [seg.current], ["_"])
-    return field_at(sl, p)
 
 
 def field_at(segments: SegmentList, p) -> np.ndarray:

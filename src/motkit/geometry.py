@@ -33,25 +33,6 @@ MAX_SEGMENTS = 1_000_000
 # core containers
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One straight filament from a to b carrying `current` (positive a->b)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    current: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and math.isfinite(self.current)):
-            raise InvalidGeometry("segment has non-finite data")
-        if np.linalg.norm(b - a) <= 0.0:
-            raise InvalidGeometry("zero-length segment")
-
-
 class SegmentList:
     """Ordered collection of filament segments with per-segment group ids."""
 
@@ -199,6 +180,8 @@ class Discretization:
     arm_grid: int = 3           # n x n filament grid for rectangular sections
 
     def __post_init__(self):
+        for f in fields(self):
+            _check(f"discretization {f.name}", COUNT, getattr(self, f.name))
         if self.segments_per_turn < 8:
             raise InvalidInput("segments_per_turn must be >= 8")
         if self.bundle_filaments < 1 or self.arm_grid < 1:
@@ -761,14 +744,9 @@ def make_ioffe_pritchard(bar_length, bar_radius, bar_current, coil_radius,
 # laser clearance
 
 
-_BEAM_AXES = (np.array([1.0, 0.0, 0.0]),
-              np.array([0.0, 1.0, 0.0]),
-              np.array([0.0, 0.0, 1.0]))
-
-
-def _segment_line_distance(starts, ends, axis):
-    """Exact distance from each segment to an infinite line through the origin."""
-    d = axis / np.linalg.norm(axis)
+def _segment_line_distance(starts, ends, d):
+    """Exact distance from each segment to the line through the origin along
+    the unit vector d."""
     line = ends - starts
     # across the axis a segment runs u + t w for t in [0, 1]; its closest
     # approach is at t = -(u.w) / |w|^2, or anywhere when w = 0
@@ -782,21 +760,18 @@ def _segment_line_distance(starts, ends, axis):
     return np.linalg.norm(perp, axis=1)
 
 
-def clearance_check(segments: SegmentList, beam_diameter: float,
-                    beam_axes=_BEAM_AXES, center=(0.0, 0.0, 0.0)):
-    """True iff no filament point lies inside any of the beam cylinders.
+def clearance_check(segments: SegmentList, beam_diameter: float):
+    """True iff no filament point lies inside any of the three beam
+    cylinders, which run along the x, y and z axes through the origin.
 
     Returns (ok, min_clearance): min_clearance is the smallest distance from
     any conductor point to any beam surface (negative when intruding).
     """
     if beam_diameter <= 0:
         raise InvalidInput("beam diameter must be positive")
-    c = np.asarray(center, dtype=float)
-    starts = segments.starts - c
-    ends = segments.ends - c
     min_clear = math.inf
-    for axis in beam_axes:
-        dist = _segment_line_distance(starts, ends, np.asarray(axis, float))
+    for axis in np.eye(3):
+        dist = _segment_line_distance(segments.starts, segments.ends, axis)
         min_clear = min(min_clear, float(dist.min()) - beam_diameter / 2.0)
     return (min_clear >= 0.0), min_clear
 

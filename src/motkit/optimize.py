@@ -11,7 +11,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import GradientReport, find_field_zero, fit_gradients
+from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
+                       TARGET_RATIO, GradientReport, find_field_zero,
+                       fit_gradients)
 from .errors import (InfeasibleStart, InvalidInput, MotKitError,
                      ObjectiveEvaluationError)
 from .geometry import COPPER, GeometrySpec, Material, build, clearance_check
@@ -21,7 +23,7 @@ from .power import PowerReport, power_report
 @dataclass(frozen=True)
 class ObjectiveSpec:
     target_gradient: float = 15.0              # G/cm, min-axis magnitude
-    target_ratio: tuple = (1.0, 1.0, -2.0)
+    target_ratio: tuple = TARGET_RATIO
     w_mag: float = 1.0
     w_ratio: float = 1.0
     w_power: float = 0.1
@@ -29,8 +31,9 @@ class ObjectiveSpec:
     beam_diameter: float = 0.015               # m, hard clearance constraint
     max_power: float | None = None             # W, hard cap when set
     bounds: dict = dc_field(default_factory=dict)  # param -> (lo, hi), SI
-    search_radius: float = 3.0e-3              # m, zero search region
-    fit_window: float = 2.0e-3                 # m
+    search_radius: float = DEFAULT_SEARCH_RADIUS  # m, zero search region
+    fit_window: float = DEFAULT_WINDOW         # m
+    fit_samples: int = DEFAULT_SAMPLES         # per axis
 
     def __post_init__(self):
         if not (math.isfinite(self.target_gradient) and self.target_gradient > 0):
@@ -96,7 +99,8 @@ def evaluate_design(spec: GeometrySpec, obj: ObjectiveSpec,
     """Build, check clearance, locate the zero, fit gradients, budget power.
 
     Returns (gradient_report, power_report); raises ObjectiveEvaluationError
-    on solver failure and InfeasibleStart never (clearance handled by caller).
+    on solver failure, InvalidInput for an unusable search radius, fit window
+    or sample count, and InfeasibleStart never (clearance handled by caller).
     """
     try:
         segs = build(spec)
@@ -107,7 +111,10 @@ def evaluate_design(spec: GeometrySpec, obj: ObjectiveSpec,
         return None, None
     try:
         zero = find_field_zero(segs, search_radius=obj.search_radius)
-        greport = fit_gradients(segs, zero, window=obj.fit_window)
+        greport = fit_gradients(segs, zero, window=obj.fit_window,
+                                n=obj.fit_samples)
+    except InvalidInput:
+        raise
     except MotKitError as exc:
         raise ObjectiveEvaluationError(f"field analysis failed: {exc}") from exc
     return greport, power_report(spec, material)
@@ -126,6 +133,10 @@ def objective_value(spec: GeometrySpec, obj: ObjectiveSpec,
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 
 
+class _BudgetSpent(Exception):
+    """Raised by the search's `evaluate` once the budget is used up."""
+
+
 def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
                       budget: int = 200,
                       material: Material = COPPER) -> OptResult:
@@ -141,88 +152,71 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
     x0 = np.clip(x0, lo, hi)
 
     trace = []
-    state = {"count": 0, "best": math.inf}
 
     def project(x):
         return np.clip(x, lo, hi)
 
     def evaluate(x):
-        if state["count"] >= budget:
-            return None
+        if len(trace) >= budget:
+            raise _BudgetSpent
         spec = initial.replace_parameters(**dict(zip(names, x)))
         try:
             val = objective_value(spec, obj, material)
         except ObjectiveEvaluationError:
             val = math.inf
-        state["count"] += 1
-        state["best"] = min(state["best"], val)
-        trace.append((state["count"], state["best"],
-                      dict(zip(names, x.tolist()))))
+        best = min(trace[-1][1] if trace else math.inf, val)
+        trace.append((len(trace) + 1, best, dict(zip(names, x.tolist()))))
         return val
 
     f0 = evaluate(x0)
-    if f0 is None:
-        raise InvalidInput("budget exhausted before the first evaluation")
     if not math.isfinite(f0):
         raise InfeasibleStart("initial design violates a hard constraint")
 
-    n = len(names)
     simplex = [x0]
     values = [f0]
-    for i in range(n):
-        x = x0.copy()
-        step = 0.1 * (hi[i] - lo[i])
-        x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
-        simplex.append(project(x))
-        v = evaluate(simplex[-1])
-        values.append(v if v is not None else math.inf)
-
     converged = False
-    exhausted = state["count"] >= budget
-    while not exhausted:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = values[-1] - values[0]
-        if math.isfinite(values[0]) and spread < 1e-9 * (1.0 + abs(values[0])):
-            converged = True
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = project(centroid + _ALPHA * (centroid - simplex[-1]))
-        fr = evaluate(xr)
-        if fr is None:
-            break
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = xr, fr
-            continue
-        if fr < values[0]:
-            xe = project(centroid + _GAMMA * (xr - centroid))
-            fe = evaluate(xe)
-            if fe is None:
-                simplex[-1], values[-1] = xr, fr
+    try:
+        for i in range(len(names)):
+            x = x0.copy()
+            step = 0.1 * (hi[i] - lo[i])
+            x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
+            x = project(x)
+            values.append(evaluate(x))
+            simplex.append(x)
+
+        while True:
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            spread = values[-1] - values[0]
+            if math.isfinite(values[0]) and spread < 1e-9 * (1.0 + abs(values[0])):
+                converged = True
                 break
-            if fe < fr:
-                simplex[-1], values[-1] = xe, fe
-            else:
+            centroid = np.mean(simplex[:-1], axis=0)
+            xr = project(centroid + _ALPHA * (centroid - simplex[-1]))
+            fr = evaluate(xr)
+            if values[0] <= fr < values[-2]:
                 simplex[-1], values[-1] = xr, fr
-            continue
-        xc = project(centroid + _RHO * (simplex[-1] - centroid))
-        fc = evaluate(xc)
-        if fc is None:
-            break
-        if fc < values[-1]:
-            simplex[-1], values[-1] = xc, fc
-            continue
-        # shrink towards the best vertex
-        for i in range(1, len(simplex)):
-            x = project(simplex[0] + _SIGMA * (simplex[i] - simplex[0]))
-            v = evaluate(x)
-            if v is None:
-                exhausted = True
-                break
-            # a vertex changes only together with its value
-            simplex[i], values[i] = x, v
-        exhausted = exhausted or state["count"] >= budget
+                continue
+            if fr < values[0]:
+                simplex[-1], values[-1] = xr, fr
+                xe = project(centroid + _GAMMA * (xr - centroid))
+                fe = evaluate(xe)
+                if fe < fr:
+                    simplex[-1], values[-1] = xe, fe
+                continue
+            xc = project(centroid + _RHO * (simplex[-1] - centroid))
+            fc = evaluate(xc)
+            if fc < values[-1]:
+                simplex[-1], values[-1] = xc, fc
+                continue
+            # shrink towards the best vertex; a vertex changes only together
+            # with its value
+            for i in range(1, len(simplex)):
+                x = project(simplex[0] + _SIGMA * (simplex[i] - simplex[0]))
+                simplex[i], values[i] = x, evaluate(x)
+    except _BudgetSpent:
+        pass
 
     # best point seen anywhere in the trace
     finite = [(v, x) for x, v in zip(simplex, values) if math.isfinite(v)]
@@ -238,7 +232,7 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
         best_objective=float(best_v),
         gradient_report=greport,
         power_report=preport,
-        evaluations=state["count"],
+        evaluations=len(trace),
         converged=converged,
         trace=tuple(trace),
     )

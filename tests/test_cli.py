@@ -223,6 +223,11 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
     (["objective", "bounds_mm", "bogus"], [1.0, 2.0]),
     (["objective", "max_power_W"], []), (["objective", "power_ref_W"], 0),
     (["objective", "weights", "w_mag"], math.nan),
+    # sample counts: over the cap, not positive, or too few for a fit
+    (["analysis", "plane_points"], 5000),
+    (["analysis", "samples"], 1_000_000_000),
+    (["analysis", "samples"], -1_000_000_000), (["analysis", "scan_points"], 0),
+    (["analysis", "samples"], 3),
 ])
 def test_malformed_config_is_exit_2(tmp_path, path, value):
     doc = coil_config(objective={
@@ -237,6 +242,39 @@ def test_malformed_config_is_exit_2(tmp_path, path, value):
     assert run(["optimize", "--config", cfg, "--out", str(out),
                 "--budget", "2"]) == 2
     assert not out.exists() or not os.listdir(out)
+
+
+def test_optimize_and_simulate_share_the_analysis_section(tmp_path):
+    doc = coil_config(objective={"bounds_mm": {"separation": [30.0, 80.0]}})
+    doc["analysis"].update(search_radius_mm=2.0, window_mm=1.0, samples=9)
+    cfg = write_config(tmp_path, doc)
+    sim, opt = tmp_path / "sim", tmp_path / "opt"
+    assert run(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    assert run(["optimize", "--config", cfg, "--out", str(opt),
+                "--budget", "1"]) == 0
+    blocks = [json.dumps(json.loads(path.read_text())["gradient_report"],
+                         sort_keys=True)
+              for path in (sim / "report.json", opt / "opt_result.json")]
+    assert blocks[0] == blocks[1]
+
+
+def test_optimize_analysis_defaults_equal_no_analysis(tmp_path):
+    objective = {"weights": {"w_mag": 1.0, "w_ratio": 1.0, "w_power": 0.0},
+                 "bounds_mm": {"radius": [30.0, 60.0]}}
+    spelled = {"window_mm": 2.0, "samples": 41, "scan_halfrange_mm": 5.0,
+               "scan_points": 101, "plane_points": 21, "search_radius_mm": 3.0}
+    outs = []
+    for analysis in (None, spelled):
+        doc = coil_config(objective=objective)
+        del doc["analysis"]
+        if analysis is not None:
+            doc["analysis"] = analysis
+        out = tmp_path / f"out{len(outs)}"
+        assert run(["optimize", "--config", write_config(tmp_path, doc),
+                    "--out", str(out), "--budget", "6"]) == 0
+        outs.append(out)
+    for name in ("opt_result.json", "opt_trace.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_bounds_are_read_in_their_parameters_units(tmp_path, capsys):

@@ -43,10 +43,10 @@ def test_long_wire_matches_analytic():
 
 
 def test_collinear_extension_is_exactly_zero():
-    seg = mk.Segment(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), 2.0)
-    b = mk.segment_field(seg, np.array([0.0, 0.0, 2.5]))
+    seg = mk.make_free_path([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0)], 2.0)
+    b = mk.field_at(seg, np.array([0.0, 0.0, 2.5]))
     assert np.all(b == 0.0)
-    b = mk.segment_field(seg, np.array([0.0, 0.0, -1.0]))
+    b = mk.field_at(seg, np.array([0.0, 0.0, -1.0]))
     assert np.all(b == 0.0)
 
 

@@ -11,9 +11,9 @@ from motkit.errors import InvalidGeometry, InvalidInput
 
 def test_segment_rejects_degenerate_data():
     with pytest.raises(InvalidGeometry):
-        mk.Segment(np.zeros(3), np.zeros(3), 1.0)
+        mk.SegmentList([np.zeros(3)], [np.zeros(3)], [1.0], ["_"])
     with pytest.raises(InvalidGeometry):
-        mk.Segment(np.zeros(3), np.array([np.nan, 0, 0]), 1.0)
+        mk.SegmentList([np.zeros(3)], [np.array([np.nan, 0, 0])], [1.0], ["_"])
 
 
 def test_closed_polyline_chains_head_to_tail():
@@ -210,6 +210,10 @@ def test_discretization_validation():
         mk.Discretization(segments_per_turn=100_000_000)
     with pytest.raises(InvalidInput, match="segments"):
         mk.Discretization(arm_grid=100_000)
+    for counts in ({"segments_per_turn": 24.9}, {"bundle_filaments": 7.0},
+                   {"arm_grid": True}):
+        with pytest.raises(InvalidInput, match="integer"):
+            mk.Discretization(**counts)
 
 
 def test_anti_helmholtz_on_axis_gradient_matches_analytic():
