@@ -13,7 +13,7 @@ from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, ConductorSection,
                        build, clearance_check, conductor_sections,
                        make_anti_helmholtz, make_compact_four, make_free_path,
                        make_ioffe_pritchard, make_loop, make_twisted_cage,
-                       make_two_piece, path_length)
+                       make_two_piece)
 from .optimize import (ObjectiveSpec, OptResult, evaluate_design,
                        objective_from_reports, objective_value,
                        optimize_geometry)

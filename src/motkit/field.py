@@ -13,7 +13,6 @@ filament as NaN rows; `field_at` raises SingularPoint for them instead.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,10 @@ EPS_SING = 1e-7              # m: singular tube radius around each filament
 _CHUNK_PAIRS = 8192          # point-segment pairs per kernel chunk
 
 CSV_HEADER = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G"
+_CSV_ROW = "%.9e," * 6 + "%.9e\n"
+# rows per %-format: bounds the tuple of Python floats that one format takes,
+# so a map's CSV peaks no higher than the text itself
+_CSV_BLOCK = 256
 
 
 def _distance_to_segments(p, starts, ends):
@@ -140,55 +143,41 @@ class FieldMap:
         return np.linalg.norm(self.B, axis=1)
 
 
-def _finish_map(segments, positions, shape):
+def _sample(segments, center, axes, half_range, counts) -> FieldMap:
+    """Row-major grid of counts[i] points on center +- half_range * axes[i]."""
+    if min(counts) < 1:
+        raise InvalidInput("need at least one sample per axis")
+    grid = np.asarray(center, dtype=float)
+    for axis, n in zip(axes, counts):
+        axis = np.asarray(axis, dtype=float)
+        norm = np.linalg.norm(axis)
+        if norm == 0:
+            raise InvalidInput("sample axes must be non-zero")
+        s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
+        grid = grid[..., None, :] + s[:, None] * (axis / norm)
+    positions = grid.reshape(-1, 3)
     B = field_many(segments, positions)
     if np.all(np.isnan(B[:, 0])):
         raise EmptySample("every sample point is singular")
-    return FieldMap(positions=positions, B=B, shape=shape)
+    return FieldMap(positions=positions, B=B, shape=counts)
 
 
 def sample_line(segments: SegmentList, origin, direction, half_range,
                 n) -> FieldMap:
     """n equally spaced samples on origin +- half_range * direction."""
-    if n < 1:
-        raise InvalidInput("need at least one sample")
-    origin = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise InvalidInput("direction must be non-zero")
-    d = d / norm
-    s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
-    positions = origin + s[:, None] * d
-    return _finish_map(segments, positions, (n,))
+    return _sample(segments, origin, (direction,), half_range, (n,))
 
 
-def sample_plane(segments: SegmentList, center, axis1, axis2, half_ranges,
+def sample_plane(segments: SegmentList, center, axis1, axis2, half_range,
                  n1, n2) -> FieldMap:
-    """Row-major n1 x n2 grid over center + u*axis1 + v*axis2."""
-    if n1 < 1 or n2 < 1:
-        raise InvalidInput("need at least one sample per axis")
-    center = np.asarray(center, dtype=float)
-    a1 = np.asarray(axis1, dtype=float)
-    a2 = np.asarray(axis2, dtype=float)
-    if np.linalg.norm(a1) == 0 or np.linalg.norm(a2) == 0:
-        raise InvalidInput("plane axes must be non-zero")
-    a1 = a1 / np.linalg.norm(a1)
-    a2 = a2 / np.linalg.norm(a2)
-    h1, h2 = half_ranges if np.iterable(half_ranges) else (half_ranges, half_ranges)
-    u = np.linspace(-h1, h1, n1) if n1 > 1 else np.array([0.0])
-    v = np.linspace(-h2, h2, n2) if n2 > 1 else np.array([0.0])
-    positions = (center
-                 + u[:, None, None] * a1
-                 + v[None, :, None] * a2).reshape(-1, 3)
-    return _finish_map(segments, positions, (n1, n2))
+    """Row-major n1 x n2 grid over center + u*axis1 + v*axis2, with u and v
+    in +- half_range."""
+    return _sample(segments, center, (axis1, axis2), half_range, (n1, n2))
 
 
 def field_map_csv(fmap: FieldMap) -> str:
     """CSV rendering: x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G (gaps as nan)."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    mag_gauss = fmap.magnitude * 1e4
-    for (x, y, z), (bx, by, bz), bm in zip(fmap.positions, fmap.B, mag_gauss):
-        buf.write(f"{x:.9e},{y:.9e},{z:.9e},{bx:.9e},{by:.9e},{bz:.9e},{bm:.9e}\n")
-    return buf.getvalue()
+    rows = np.column_stack([fmap.positions, fmap.B, fmap.magnitude * 1e4])
+    blocks = (rows[i:i + _CSV_BLOCK] for i in range(0, len(rows), _CSV_BLOCK))
+    return CSV_HEADER + "\n" + "".join(
+        _CSV_ROW * len(b) % tuple(b.ravel().tolist()) for b in blocks)

@@ -27,6 +27,9 @@ from .errors import ClearanceError, InvalidGeometry, InvalidInput
 # upper bound on the worst-case segment count a discretization may ask for;
 # the presets need at most about 16,000
 MAX_SEGMENTS = 1_000_000
+# metres: upper bound on every length and point coordinate a config gives,
+# far below the 1e77 m where the field kernel's products of distances overflow
+MAX_LENGTH = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +60,6 @@ class SegmentList:
         self.currents = currents
         self.group_ids = group_ids
 
-    # -- construction helpers
-
-    @classmethod
-    def from_polyline(cls, points, current, group_id="path", closed=False):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] < 2:
-            raise InvalidGeometry("polyline needs at least two points")
-        if closed:
-            pts = np.vstack([pts, pts[:1]])
-        starts, ends = pts[:-1], pts[1:]
-        n = starts.shape[0]
-        return cls(starts, ends, np.full(n, float(current)), [group_id] * n)
-
     def __len__(self):
         return self.starts.shape[0]
 
@@ -89,11 +79,8 @@ class SegmentList:
             seen.setdefault(g, None)
         return list(seen)
 
-    def group_mask(self, group_id) -> np.ndarray:
-        return np.array([g == group_id for g in self.group_ids], dtype=bool)
-
     def group(self, group_id) -> "SegmentList":
-        m = self.group_mask(group_id)
+        m = np.array([g == group_id for g in self.group_ids], dtype=bool)
         if not m.any():
             raise InvalidInput(f"no such group: {group_id!r}")
         return SegmentList(self.starts[m], self.ends[m], self.currents[m],
@@ -119,33 +106,6 @@ class SegmentList:
         bad = points[first[np.add.reduceat(flow, first) != 0.0]]
         term = np.asarray(terminals, dtype=float).reshape(-1, 3)
         return bad[~(bad[:, None, :] == term[None, :, :]).all(axis=2).any(axis=1)]
-
-    # -- geometric transforms (handy for symmetry tests and scaling)
-
-    def translated(self, offset) -> "SegmentList":
-        off = np.asarray(offset, dtype=float)
-        return SegmentList(self.starts + off, self.ends + off, self.currents,
-                           list(self.group_ids))
-
-    def transformed(self, matrix) -> "SegmentList":
-        m = np.asarray(matrix, dtype=float)
-        return SegmentList(self.starts @ m.T, self.ends @ m.T, self.currents,
-                           list(self.group_ids))
-
-    def scaled(self, k: float) -> "SegmentList":
-        if k <= 0:
-            raise InvalidInput("scale factor must be positive")
-        return SegmentList(self.starts * k, self.ends * k, self.currents,
-                           list(self.group_ids))
-
-    def with_currents_scaled(self, k: float) -> "SegmentList":
-        return SegmentList(self.starts, self.ends, self.currents * k,
-                           list(self.group_ids))
-
-
-def path_length(group: SegmentList) -> float:
-    """Total conductor path length of a segment group."""
-    return float(group.lengths.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +201,9 @@ def read_fields(doc, kinds: dict, context: str) -> dict:
     `kinds` maps each allowed key to its kind; a dict of kinds reads a
     nested object, a tuple of kinds a list of that many values, and None
     takes any value as it is, for its own reader.  Only the keys `doc` gives
-    are returned.  A non-object, an unknown key or a value
-    of the wrong kind raises InvalidInput naming `context`.
+    are returned.  A non-object, an unknown key, a value of the wrong kind
+    or a length or coordinate beyond MAX_LENGTH raises InvalidInput naming
+    `context`.
     """
     if not isinstance(doc, dict):
         raise InvalidInput(f"{context} must be a JSON object")
@@ -262,7 +223,10 @@ def _read(kind, value, key):
         return tuple(_read(k, v, f"{key}[{i}]")
                      for i, (k, v) in enumerate(zip(kind, value)))
     _check(key, kind, value)
-    return _scale(kind, float(value) if kind in (LENGTH, NUMBER) else value, 1e-3)
+    value = _scale(kind, float(value) if kind in (LENGTH, NUMBER) else value, 1e-3)
+    if kind in (LENGTH, POINTS) and np.abs(value).max(initial=0.0) > MAX_LENGTH:
+        raise InvalidInput(f"{key} exceeds the {MAX_LENGTH:g} m length cap")
+    return value
 
 
 def _variant(name) -> "Variant":
@@ -377,10 +341,10 @@ def _loop(center, radius, normal, current, n_segments, group_id):
     return pts[:-1], pts[1:], current, [group_id] * n_segments
 
 
-def make_loop(center, radius, normal, current, n_segments, group_id="loop") -> SegmentList:
-    """Regular n-gon inscribed in a circle; current sign follows the
-    right-hand rule about `normal`."""
-    return _assemble([_loop(center, radius, normal, current, n_segments, group_id)])
+def make_loop(center, radius, normal, current, n_segments) -> SegmentList:
+    """Regular n-gon inscribed in a circle, in group "loop"; current sign
+    follows the right-hand rule about `normal`."""
+    return _assemble([_loop(center, radius, normal, current, n_segments, "loop")])
 
 
 def make_anti_helmholtz(radius, separation, current, n_segments=360) -> SegmentList:
@@ -393,8 +357,15 @@ def make_anti_helmholtz(radius, separation, current, n_segments=360) -> SegmentL
         _loop((0, 0, -z), radius, (0, 0, 1), -current, n_segments, "coil_bottom")])
 
 
-def make_free_path(points, current, closed=False, group_id="path") -> SegmentList:
-    return SegmentList.from_polyline(points, current, group_id=group_id, closed=closed)
+def make_free_path(points, current, closed=False) -> SegmentList:
+    """Polyline through `points` in group "path", closed when `closed`."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] < 2:
+        raise InvalidGeometry("polyline needs at least two points")
+    if closed:
+        pts = np.vstack([pts, pts[:1]])
+    n = pts.shape[0] - 1
+    return SegmentList(pts[:-1], pts[1:], np.full(n, float(current)), ["path"] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +754,6 @@ def clearance_check(segments: SegmentList, beam_diameter: float):
 @dataclass(frozen=True)
 class ConductorSection:
     group_id: str
-    label: str
     length: float        # m
     area: float          # m^2 (declared solid cross-section)
     current: float       # A carried by the physical conductor
@@ -792,16 +762,16 @@ class ConductorSection:
 def _anti_helmholtz_sections(p):
     area = math.pi * (p["wire_diameter"] / 2.0) ** 2
     length = 2.0 * math.pi * p["radius"]
-    return [ConductorSection("coil_top", "winding", length, area, p["current"]),
-            ConductorSection("coil_bottom", "winding", length, area, p["current"])]
+    return [ConductorSection("coil_top", length, area, p["current"]),
+            ConductorSection("coil_bottom", length, area, p["current"])]
 
 
 def _ioffe_pritchard_sections(p):
     area = math.pi * (p["wire_diameter"] / 2.0) ** 2
-    out = [ConductorSection(f"bar{k}", "bar", p["bar_length"], area,
-                            p["bar_current"]) for k in range(4)]
-    out += [ConductorSection(g, "winding", 2.0 * math.pi * p["coil_radius"],
-                             area, p["coil_current"])
+    out = [ConductorSection(f"bar{k}", p["bar_length"], area, p["bar_current"])
+           for k in range(4)]
+    out += [ConductorSection(g, 2.0 * math.pi * p["coil_radius"], area,
+                             p["coil_current"])
             for g in ("coil_top", "coil_bottom")]
     return out
 
@@ -812,8 +782,8 @@ def _twisted_cage_sections(p):
     segs = make_twisted_cage(**p, discretization=Discretization(64, 1, 1))
     out = []
     for k in range(4):
-        length = path_length(segs.group(f"bar{k}"))
-        out.append(ConductorSection(f"bar{k}", "bar", length, area, p["current"]))
+        length = float(segs.group(f"bar{k}").lengths.sum())
+        out.append(ConductorSection(f"bar{k}", length, area, p["current"]))
     return out
 
 
@@ -827,9 +797,9 @@ def _compact_four_sections(p):
     out = []
     for k in range(4):
         g = f"conductor{k}"
-        out.append(ConductorSection(g, "prong", prong_len, prong_area,
+        out.append(ConductorSection(g, prong_len, prong_area,
                                     p["current_per_conductor"]))
-        out.append(ConductorSection(g, "arc", arc_len, arc_area,
+        out.append(ConductorSection(g, arc_len, arc_area,
                                     p["current_per_conductor"]))
     return out
 
@@ -844,18 +814,18 @@ def _two_piece_sections(p):
     ring_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
     out = []
     for g in ("piece_a", "piece_b"):
-        out.append(ConductorSection(g, "arm", arm_len, arm_area,
+        out.append(ConductorSection(g, arm_len, arm_area,
                                     p["current_per_conductor"]))
-        out.append(ConductorSection(g, "arm", arm_len, arm_area,
+        out.append(ConductorSection(g, arm_len, arm_area,
                                     p["current_per_conductor"]))
-        out.append(ConductorSection(g, "ring", ring_len, ring_area,
+        out.append(ConductorSection(g, ring_len, ring_area,
                                     p["current_per_conductor"]))
     return out
 
 
 def _free_path_sections(p):
     area = math.pi * (0.5e-3) ** 2  # nominal 1 mm wire
-    return [ConductorSection("path", "wire", path_length(make_free_path(**p)),
+    return [ConductorSection("path", float(make_free_path(**p).lengths.sum()),
                              area, p["current"])]
 
 

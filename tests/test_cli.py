@@ -228,6 +228,9 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
     (["analysis", "samples"], 1_000_000_000),
     (["analysis", "samples"], -1_000_000_000), (["analysis", "scan_points"], 0),
     (["analysis", "samples"], 3),
+    # lengths beyond MAX_LENGTH, which would overflow the field kernel
+    (["analysis", "scan_halfrange_mm"], 1e300),
+    (["analysis", "search_radius_mm"], 1e300),
 ])
 def test_malformed_config_is_exit_2(tmp_path, path, value):
     doc = coil_config(objective={
@@ -319,6 +322,10 @@ def test_clearance_error_while_building_is_exit_3(tmp_path):
     {"variant": "FreePath", "parameters": {
         "points": [[0, 0, 0], [10, 0, 0], [10, 10, 0]], "closed": "false"}},
     {"variant": "AntiHelmholtz", "discretization": {"segments_per_turn": 24.9}},
+    # lengths and coordinates beyond MAX_LENGTH
+    {"variant": "AntiHelmholtz", "parameters": {"radius": 1e200}},
+    {"variant": "FreePath",
+     "parameters": {"points": [[0, 0, 0], [1e300, 0, 0], [10, 10, 0]]}},
 ])
 def test_malformed_geometry_is_exit_2(tmp_path, geometry):
     cfg = write_config(tmp_path, {"geometry": geometry})

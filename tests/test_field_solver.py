@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import motkit as mk
 from motkit.errors import EmptySample, InvalidInput, SingularPoint
-from motkit.field import _CHUNK_PAIRS
+from motkit.field import _CHUNK_PAIRS, _CSV_BLOCK
 
 
 def test_loop_center_matches_analytic():
@@ -58,19 +58,20 @@ def test_point_on_segment_raises_singular():
 
 
 def test_superposition_and_current_linearity():
-    a = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 2.0, group_id="a")
-    b = mk.make_free_path([(0, 1, -1), (0, 1, 1)], -1.0, group_id="b")
+    a = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 2.0)
+    b = mk.make_free_path([(0, 1, -1), (0, 1, 1)], -1.0)
     p = np.array([0.05, 0.3, 0.01])
     combined = mk.field_at(a + b, p)
     assert combined == pytest.approx(mk.field_at(a, p) + mk.field_at(b, p),
                                      rel=1e-12)
-    doubled = mk.field_at(a.with_currents_scaled(2.0), p)
+    doubled = mk.field_at(
+        mk.SegmentList(a.starts, a.ends, 2.0 * a.currents, a.group_ids), p)
     assert doubled == pytest.approx(2.0 * mk.field_at(a, p), rel=1e-15)
 
 
 def test_opposite_currents_cancel_exactly():
-    a = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.5, group_id="a")
-    b = mk.make_free_path([(0, 0, -1), (0, 0, 1)], -1.5, group_id="b")
+    a = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.5)
+    b = mk.make_free_path([(0, 0, -1), (0, 0, 1)], -1.5)
     p = np.array([0.02, -0.01, 0.3])
     assert np.all(mk.field_at(a + b, p) == 0.0)
 
@@ -121,6 +122,21 @@ def test_csv_header_and_rows():
     first = lines[1].split(",")
     assert len(first) == 7
     assert float(first[0]) == pytest.approx(0.01)
+
+
+def test_csv_is_byte_identical_to_the_per_row_format():
+    segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
+    # more rows than one formatting block, with the middle one on the wire
+    n = 2 * _CSV_BLOCK + 3
+    fmap = mk.sample_line(segs, (0, 0, 0), (1, 0, 0), 0.01, n)
+    assert np.isnan(fmap.B[n // 2]).all()
+    # the reference writer formats one row at a time
+    expected = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G\n" + "".join(
+        f"{x:.9e},{y:.9e},{z:.9e},{bx:.9e},{by:.9e},{bz:.9e},{bm:.9e}\n"
+        for (x, y, z), (bx, by, bz), bm
+        in zip(fmap.positions, fmap.B, fmap.magnitude * 1e4))
+    assert "nan" in expected
+    assert mk.field_map_csv(fmap) == expected
 
 
 def test_direction_must_be_nonzero():

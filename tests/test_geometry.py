@@ -18,10 +18,10 @@ def test_segment_rejects_degenerate_data():
 
 def test_closed_polyline_chains_head_to_tail():
     square = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
-    segs = mk.SegmentList.from_polyline(square, 1.0, group_id="sq", closed=True)
+    segs = mk.make_free_path(square, 1.0, closed=True)
     assert len(segs) == 4
     assert segs.unbalanced_vertices().shape == (0, 3)
-    assert mk.path_length(segs) == pytest.approx(4.0)
+    assert segs.lengths.sum() == pytest.approx(4.0)
 
 
 def test_closed_group_with_gap_rejected():
@@ -71,16 +71,6 @@ def test_make_loop_needs_three_segments():
         mk.make_loop((0, 0, 0), 0.03, (0, 0, 1), 1.0, 2)
 
 
-def test_transform_helpers():
-    segs = mk.make_free_path([(0, 0, 0), (1, 0, 0)], 1.0)
-    moved = segs.translated((0, 0, 5.0))
-    assert moved.starts[0] == pytest.approx([0, 0, 5.0])
-    scaled = segs.scaled(2.0)
-    assert scaled.lengths[0] == pytest.approx(2.0)
-    rot = segs.transformed([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-    assert rot.ends[0] == pytest.approx([0, 1, 0])
-
-
 def test_spec_json_round_trip_uses_millimetres():
     spec = mk.GeometrySpec("TwoPiece")
     doc = spec.to_json_dict()
@@ -125,7 +115,10 @@ def test_read_fields_checks_each_kind():
                      ("c", 24.9), ("c", True), ("f", "false"), ("f", 0),
                      ("s", 5), ("p", [[1, 2, True]]), ("pair", [1]),
                      ("pair", [1, 2, 3]), ("pair", [1, -2]), ("sub", []),
-                     ("sub", {"bogus": 1}), ("bogus", 1)]:
+                     ("sub", {"bogus": 1}), ("bogus", 1),
+                     # beyond MAX_LENGTH (1 km) in metres after scaling
+                     ("l", 1e300), ("l", 1e7), ("p", [[0, 0, -1e300]]),
+                     ("pair", [1, 1e7]), ("sub", {"l": 1e300})]:
         with pytest.raises(InvalidInput, match=r"\bt\b"):
             g.read_fields({key: bad}, kinds, "t")
     with pytest.raises(InvalidInput):
@@ -191,6 +184,15 @@ def test_clearance_requires_positive_beam():
     segs = mk.build(mk.GeometrySpec("TwoPiece"))
     with pytest.raises(InvalidInput):
         mk.clearance_check(segs, 0.0)
+
+
+def test_power_budget_and_field_model_name_the_same_conductors():
+    for variant in sorted(mk.geometry.REGISTRY):
+        params = ({"points": ((0, 0, 0), (0.01, 0, 0), (0.01, 0.01, 0))}
+                  if variant == "FreePath" else {})
+        spec = mk.GeometrySpec(variant, params)
+        assert set(mk.build(spec).groups()) == {
+            s.group_id for s in mk.conductor_sections(spec)}, variant
 
 
 def test_conductor_sections_positive():
