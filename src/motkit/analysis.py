@@ -2,8 +2,8 @@
 
 Accepts either a SegmentList or any callable p -> B (tesla); the callable
 form is what the synthetic-field tests use.  Every analysis evaluates its
-points in one batched call: the zero finder's grid, each Newton step's
-seven-point stencil and the three axis scans of a gradient fit.
+points in one batched call: each Newton step's seven-point stencil, the
+zero finder's fallback grid and the three axis scans of a gradient fit.
 """
 from __future__ import annotations
 
@@ -97,15 +97,37 @@ class GradientReport:
 
 def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
                     search_radius=DEFAULT_SEARCH_RADIUS) -> np.ndarray:
-    """|B| minimum: coarse grid scan, then Newton steps on B = 0.
+    """|B| minimum: Newton steps on B = 0 from `search_center`, with a grid
+    scan of the search cube as the fallback.
 
-    Near a quadrupole zero B is linear, so Newton on the vector field is the
-    quadratic-convergence refinement of the |B|^2 descent.
+    Near a quadrupole zero B is linear, so Newton on the vector field
+    converges quadratically to the |B| minimum.  Its result stands only if
+    every stencil it solves is finite, the steps end on their stop rule with
+    a solvable Jacobian, and every iterate stays in the search cube shrunk
+    by half a grid spacing, so a zero the grid would put on its boundary
+    still raises ZeroNotBracketed.  Otherwise `_grid_zero` scans 11^3 points
+    of the cube and refines the best.  Either way the refined point is
+    returned only if its |B| is no larger than at its start point, and the
+    start otherwise.
     """
     if search_radius <= 0:
         raise InvalidInput("search radius must be positive")
     f = as_field(source)
-    c = np.asarray(search_center, dtype=float)
+    c = np.array(search_center, dtype=float)
+    inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
+    try:
+        p, m_c, stopped = _newton(
+            f, c, search_radius, lambda q: np.max(np.abs(q - c)) > inner)
+        if stopped:
+            return _no_worse(f, p, c, m_c)
+    except (SingularPoint, ZeroNotBracketed):
+        pass
+    return _grid_zero(f, c, search_radius)
+
+
+def _grid_zero(f, c, search_radius) -> np.ndarray:
+    """`find_field_zero`'s fallback: the |B| minimum of an 11^3 grid over the
+    search cube, refined by Newton steps."""
     axis = np.linspace(-search_radius, search_radius, _GRID_N)
     grid = c + np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                         axis=-1).reshape(-1, 3)
@@ -127,29 +149,52 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
         raise ZeroNotBracketed("|B| minimum lies on the search-region boundary")
 
     best_p = grid[best]
-    p = best_p.copy()
+    limit = search_radius * math.sqrt(3.0)
+    p, _, _ = _newton(f, best_p, search_radius,
+                      lambda q: np.linalg.norm(q - c) > limit)
+    return _no_worse(f, p, best_p, best_m)
+
+
+def _newton(f, p, search_radius, outside):
+    """Newton steps on B = 0 from p, each solving the 7-point stencil's
+    Jacobian, with steps capped at a quarter of the search radius.
+
+    Returns the last iterate, |B| at p, and whether the steps ended on the
+    stop rule (|B| == 0, or a step under 1e-13 m) rather than on a singular
+    Jacobian or the 60-step limit.  Raises SingularPoint at a NaN stencil row
+    around a non-zero field, and ZeroNotBracketed at an iterate q for which
+    `outside(q)` holds.
+    """
     h = max(search_radius / 200.0, 1e-6)
-    for _ in range(60):
+    cap = search_radius / 4.0
+    for i in range(60):
         B = f(_stencil(p, h))
-        if np.linalg.norm(B[0]) == 0.0:
-            break
+        m = float(np.linalg.norm(B[0]))
+        if i == 0:
+            m_start = m
+        if m == 0.0:
+            return p, m_start, True
         J = _central_jacobian(_regular(B, "Newton stencil"), h)
         try:
             step = np.linalg.solve(J, B[0])
         except np.linalg.LinAlgError:
-            break
+            return p, m_start, False
         norm = np.linalg.norm(step)
-        cap = search_radius / 4.0
         if norm > cap:
             step *= cap / norm
         p = p - step
-        if np.linalg.norm(p - c) > search_radius * math.sqrt(3.0):
+        if outside(p):
             raise ZeroNotBracketed("zero refinement left the search region")
         if norm < 1e-13:
-            break
-    if float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0])) <= best_m:
+            return p, m_start, True
+    return p, m_start, False
+
+
+def _no_worse(f, p, start, m_start) -> np.ndarray:
+    """p if its |B| is at most `m_start`, the |B| at `start`; else `start`."""
+    if float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0])) <= m_start:
         return p
-    return best_p
+    return start
 
 
 def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Zero finding, gradient fitting, and suitability verdicts."""
+import random
+
 import numpy as np
 import pytest
 
 import motkit as mk
-from motkit.errors import DegenerateFit, InvalidInput, ZeroNotBracketed
+from motkit import analysis, cli
+from motkit.errors import (DegenerateFit, InvalidInput, MotKitError,
+                           SingularPoint, ZeroNotBracketed)
 
 
 def linear_field(matrix, offset=np.zeros(3)):
@@ -37,9 +41,93 @@ def test_find_zero_on_anti_helmholtz():
 
 
 def test_zero_outside_region_raises():
-    offset = np.array([0.02, 0.0, 0.0])  # far outside the 5 mm search region
+    offset = np.array([0.02, 0.0, 0.0])  # far outside the 3 mm search region
     with pytest.raises(ZeroNotBracketed):
         mk.find_field_zero(linear_field(QUADRUPOLE, offset))
+
+
+OFF_CENTRE = (1e-3, -0.5e-3, 0.7e-3)  # m
+
+
+def _designs():
+    """The 4 presets and, from a fixed seed, 3 buildable +-20 % perturbations
+    of each of TwoPiece, CompactFour and TwistedCage, as (spec, segments)."""
+    for name in ("anti_helmholtz", "compact_four", "twisted_cage", "two_piece"):
+        spec = cli.load_config(name)["geometry"]
+        yield spec, mk.build(spec)
+    rng = random.Random(8)
+    for variant in ("TwoPiece", "CompactFour", "TwistedCage"):
+        base = mk.GeometrySpec(variant).parameters
+        kept = 0
+        while kept < 3:
+            spec = mk.GeometrySpec(variant, {k: v * rng.uniform(0.8, 1.2)
+                                             for k, v in base.items()})
+            try:
+                segs = mk.build(spec)
+            except MotKitError:
+                continue
+            kept += 1
+            yield spec, segs
+
+
+def test_finder_agrees_with_grid_path():
+    for spec, segs in _designs():
+        for start in ((0.0, 0.0, 0.0), OFF_CENTRE):
+            zero = mk.find_field_zero(segs, start)
+            grid = analysis._grid_zero(analysis.as_field(segs),
+                                       np.array(start),
+                                       analysis.DEFAULT_SEARCH_RADIUS)
+            assert np.max(np.abs(zero - grid)) < 1e-12, (spec, start)
+
+
+@pytest.mark.parametrize("preset", ["anti_helmholtz", "two_piece"])
+def test_symmetric_preset_gives_the_exact_centre(preset):
+    # Newton moves off the centre by roundoff only; the tie rule keeps the
+    # centre, whose |B| is no larger
+    segs = mk.build(cli.load_config(preset)["geometry"])
+    assert mk.find_field_zero(segs).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("x_mm", [2.5, 2.69])
+def test_zero_inside_shrunk_cube_is_found(x_mm):
+    offset = np.array([x_mm * 1e-3, 0.0, 0.0])
+    zero = mk.find_field_zero(linear_field(QUADRUPOLE, offset))
+    assert np.linalg.norm(zero - offset) < 1e-9
+
+
+@pytest.mark.parametrize("x_mm", [2.75, 2.85, 2.95])
+def test_zero_the_grid_puts_on_its_boundary_raises(x_mm):
+    # nearer the grid's outer plane at 3 mm than its inner one at 2.4 mm
+    offset = np.array([x_mm * 1e-3, 0.0, 0.0])
+    with pytest.raises(ZeroNotBracketed):
+        mk.find_field_zero(linear_field(QUADRUPOLE, offset))
+
+
+def test_singular_centre_falls_back_to_grid():
+    offset = np.array(OFF_CENTRE)
+    quadrupole = linear_field(QUADRUPOLE, offset)
+
+    def field(p):
+        if np.linalg.norm(p) < 0.2e-3:
+            raise SingularPoint("conductor at the origin")
+        return quadrupole(p)
+
+    zero = mk.find_field_zero(field)
+    assert np.linalg.norm(zero - offset) < 1e-9
+
+
+def test_finder_skips_the_grid():
+    offset = np.array([0.4e-3, -0.7e-3, 1.1e-3])
+    quadrupole = linear_field(QUADRUPOLE, offset)
+    calls = []
+
+    def field(p):
+        calls.append(p)
+        return quadrupole(p)
+
+    zero = mk.find_field_zero(field)
+    assert np.linalg.norm(zero - offset) < 1e-9
+    assert len(calls) < 100     # the 11^3 grid alone is 1331 points
 
 
 def test_jacobian_recovers_linear_matrix():
