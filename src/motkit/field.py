@@ -10,6 +10,9 @@ exact for a finite straight wire, vanishes identically on the collinear
 extension, and is singular only on the segment itself.  `field_many`
 evaluates it for many points at once and marks points within EPS_SING of a
 filament as NaN rows; `field_at` raises SingularPoint for them instead.
+`field_many` walks the points in chunks that write into one set of scratch
+arrays, allocated once per call; the rows are bitwise the same whatever the
+chunk size.
 """
 from __future__ import annotations
 
@@ -41,73 +44,90 @@ def _distance_to_segments(p, starts, ends):
     return np.linalg.norm(p - closest, axis=1)
 
 
-def _segment_data(segments: SegmentList):
-    """Per-segment kernel inputs, one row per component: starts, ends and
-    direction l as (3, n), then |l|^2 and mu0 I / 4 pi as (n,)."""
-    a = np.ascontiguousarray(segments.starts.T)
-    b = np.ascontiguousarray(segments.ends.T)
-    line = b - a
-    length_sq = line[0] * line[0] + line[1] * line[1] + line[2] * line[2]
-    return a, b, line, length_sq, MU_0 / (4.0 * math.pi) * segments.currents
-
-
-def _field_chunk(seg, points) -> np.ndarray:
-    """Field rows of a few points in a (points, segments) layout.
-
-    Each row sums over the segments in stored order along a contiguous
-    axis, so a row does not depend on which other points share the chunk.
-    """
-    a, b, line, length_sq, k = seg
-    x, y, z = points[:, 0:1], points[:, 1:2], points[:, 2:3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1x, r1y, r1z = x - a[0], y - a[1], z - a[2]
-        r2x, r2y, r2z = x - b[0], y - b[1], z - b[2]
-        n1_sq = r1x * r1x + r1y * r1y + r1z * r1z
-        n2_sq = r2x * r2x + r2y * r2y + r2z * r2z
-        n1, n2 = np.sqrt(n1_sq), np.sqrt(n2_sq)
-        cx = r1y * r2z - r1z * r2y
-        cy = r1z * r2x - r1x * r2z
-        cz = r1x * r2y - r1y * r2x
-        n12 = n1 * n2
-        # collinear-outside points: cross == 0 while denom > 0; keep the 0/denom
-        coef = k * (n1 + n2) / (n12 * (n12 + (r1x * r2x + r1y * r2y + r1z * r2z)))
-        out = np.empty((points.shape[0], 3))
-        out[:, 0] = (coef * cx).sum(axis=1)
-        out[:, 1] = (coef * cy).sum(axis=1)
-        out[:, 2] = (coef * cz).sum(axis=1)
-        # A point is singular when its squared distance d2 to a segment is
-        # below EPS_SING^2: with t = (r1.l) / |l|^2, d2 is |r1|^2 for t <= 0,
-        # |r2|^2 for t >= 1 and |r1 x r2|^2 / |l|^2 between.  That last term
-        # is the distance to the segment's line and never exceeds d2, so d2
-        # is needed only on rows where it falls below twice the bound.
-        cross_sq = cx * cx + cy * cy + cz * cz
-        near = np.flatnonzero(
-            (cross_sq < 2.0 * EPS_SING * EPS_SING * length_sq).any(axis=1))
-        if near.size:
-            along = (r1x[near] * line[0] + r1y[near] * line[1]
-                     + r1z[near] * line[2])
-            dist_sq = np.where(along <= 0.0, n1_sq[near],
-                               np.where(along >= length_sq, n2_sq[near],
-                                        cross_sq[near] / length_sq))
-            out[near[(dist_sq < EPS_SING * EPS_SING).any(axis=1)]] = np.nan
-    return out
-
-
 def field_many(segments: SegmentList, points) -> np.ndarray:
     """Field at many points (tesla, (N, 3)); singular points give NaN rows.
 
     Points are walked in chunks of at most _CHUNK_PAIRS point-segment pairs
-    (at least one point each), which bounds the temporaries and keeps them
-    in cache.  The result is bitwise independent of the chunk size.
+    (at least one point each), which bounds the scratch arrays and keeps
+    them in cache.  The scratch is allocated once per call, sized for one
+    chunk, and every chunk writes into it (the last one into leading
+    views), so no chunk allocates (points x segments) temporaries.  Each
+    row sums over the segments in stored order along a contiguous axis, so
+    the result is bitwise independent of the chunk size.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidInput("field points must be an (N, 3) array")
-    seg = _segment_data(segments)
-    rows = max(1, _CHUNK_PAIRS // len(segments))
+    n = len(segments)
+    # segment ends a, b as (2, 3, n), one row per component
+    ends = np.array([segments.starts.T, segments.ends.T])
+    line = ends[1] - ends[0]
+    length_sq = line[0] * line[0] + line[1] * line[1] + line[2] * line[2]
+    k = MU_0 / (4.0 * math.pi) * segments.currents
+    near_sq = 2.0 * EPS_SING * EPS_SING * length_sq
+    rows = max(1, _CHUNK_PAIRS // n)
+    m = min(rows, points.shape[0])
+    r_buf = np.empty((2, 3, m, n))      # r1, r2: point minus segment ends
+    prod_buf = np.empty((2, 3, m, n))   # products, |r1|, |r2|, k (|r1|+|r2|)
+    cross_buf = np.empty((3, m, n))     # r1 x r2
+    sq_buf = np.empty((2, m, n))        # |r1|^2, |r2|^2
+    dot_buf = np.empty((m, n))          # r1.r2, then the denominator
+    tmp_buf = np.empty((m, n))          # |r1||r2|, coef, then |r1 x r2|^2
+    hit_buf = np.empty((m, n), dtype=bool)
     out = np.empty(points.shape)
-    for start in range(0, points.shape[0], rows):
-        out[start:start + rows] = _field_chunk(seg, points[start:start + rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, points.shape[0], rows):
+            p = points[start:start + rows]
+            t = p.shape[0]
+            r, prod = r_buf[:, :, :t], prod_buf[:, :, :t]
+            cross, sq = cross_buf[:, :t], sq_buf[:, :t]
+            dot, tmp, hit = dot_buf[:t], tmp_buf[:t], hit_buf[:t]
+            np.subtract(p.T[None, :, :, None], ends[:, :, None, :], out=r)
+            r1, r2 = r
+            # r1 x r2 = (r1y r2z, r1z r2x, r1x r2y)
+            #         - (r1z r2y, r1x r2z, r1y r2x)
+            np.multiply(r1[1:], r2[2::-2], out=prod[0, :2])
+            np.multiply(r1[0], r2[1], out=prod[0, 2])
+            np.multiply(r1[2::-2], r2[1:], out=prod[1, :2])
+            np.multiply(r1[1], r2[0], out=prod[1, 2])
+            np.subtract(prod[0], prod[1], out=cross)
+            np.multiply(r, r, out=prod)
+            np.add(prod[:, 0], prod[:, 1], out=sq)
+            np.add(sq, prod[:, 2], out=sq)
+            norm = prod[0, :2]
+            np.sqrt(sq, out=norm)
+            np.multiply(r1, r2, out=prod[1])
+            np.add(prod[1, 0], prod[1, 1], out=dot)
+            np.add(dot, prod[1, 2], out=dot)
+            np.multiply(norm[0], norm[1], out=tmp)
+            np.add(tmp, dot, out=dot)
+            np.multiply(tmp, dot, out=dot)
+            np.add(norm[0], norm[1], out=prod[0, 2])
+            np.multiply(k, prod[0, 2], out=prod[0, 2])
+            # collinear-outside points: cross == 0 while denom > 0; keep
+            # the 0/denom
+            np.divide(prod[0, 2], dot, out=tmp)
+            np.multiply(tmp, cross, out=prod[1])
+            np.add.reduce(prod[1], axis=2, out=out[start:start + t].T)
+            # A point is singular when its squared distance d2 to a segment
+            # is below EPS_SING^2: with u = (r1.l) / |l|^2, d2 is |r1|^2 for
+            # u <= 0, |r2|^2 for u >= 1 and |r1 x r2|^2 / |l|^2 between.
+            # That last term is the distance to the segment's line and never
+            # exceeds d2, so d2 is needed only on rows where it falls below
+            # twice the bound.
+            np.multiply(cross, cross, out=prod[0])
+            np.add(prod[0, 0], prod[0, 1], out=tmp)
+            np.add(tmp, prod[0, 2], out=tmp)
+            np.less(tmp, near_sq, out=hit)
+            near = np.flatnonzero(hit.any(axis=1))
+            if near.size:
+                along = (r1[0][near] * line[0] + r1[1][near] * line[1]
+                         + r1[2][near] * line[2])
+                dist_sq = np.where(along <= 0.0, sq[0][near],
+                                   np.where(along >= length_sq, sq[1][near],
+                                            tmp[near] / length_sq))
+                inside = (dist_sq < EPS_SING * EPS_SING).any(axis=1)
+                out[start + near[inside]] = np.nan
     return out
 
 

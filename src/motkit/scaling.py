@@ -49,8 +49,16 @@ class ScalingReport:
 def scaling_report(k: float) -> ScalingReport:
     if not (math.isfinite(k) and k > 0):
         raise InvalidInput("scale factor must be positive and finite")
-    return ScalingReport(k=k, ratios={name: k ** e
-                                      for name, e in RATIO_EXPONENTS.items()})
+    # a float power raises on overflow but silently underflows to 0.0
+    try:
+        ratios = {name: k ** e for name, e in RATIO_EXPONENTS.items()}
+        representable = all(0.0 < v < math.inf for v in ratios.values())
+    except OverflowError:
+        representable = False
+    if not representable:
+        raise InvalidInput(f"scale factor {k:g} gives a ratio that is zero "
+                           "or infinite in double precision")
+    return ScalingReport(k=k, ratios=ratios)
 
 
 @dataclass(frozen=True)

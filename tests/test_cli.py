@@ -152,6 +152,10 @@ def test_scale_table_and_errors(tmp_path, capsys):
     assert run(["scale", "-1"]) == 2
     assert run(["scale", "nan"]) == 2
     assert run(["scale", "inf"]) == 2
+    # ratios beyond the double range: k**3 overflows, k**-1.5 overflows,
+    # and k**3 underflows to zero
+    for k in ("1e308", "1e-308", "1e-200"):
+        assert run(["scale", k]) == 2, k
     out_dir = tmp_path / "s"
     assert run(["scale", "2", "--out", str(out_dir)]) == 0
     doc = json.loads((out_dir / "scaling.json").read_text())

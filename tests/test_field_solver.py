@@ -1,5 +1,6 @@
 """Analytic oracles and sampler behaviour for the Biot-Savart solver."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,81 @@ def test_field_many_is_bitwise_independent_of_chunks(monkeypatch):
         monkeypatch.setattr(mk.field, "_CHUNK_PAIRS", chunk)
         B = mk.field_many(segs, points)
         assert B.tobytes() == reference.tobytes(), chunk
+
+
+def reference_field(segments, points):
+    """The kernel written with fresh numpy temporaries per chunk, in the same
+    per-element operations and order; field_many must match it bitwise."""
+    a = np.ascontiguousarray(segments.starts.T)
+    b = np.ascontiguousarray(segments.ends.T)
+    line = b - a
+    length_sq = line[0] * line[0] + line[1] * line[1] + line[2] * line[2]
+    k = mk.MU_0 / (4.0 * math.pi) * segments.currents
+    eps = mk.EPS_SING
+    rows = max(1, _CHUNK_PAIRS // len(segments))
+    out = np.empty(points.shape)
+    for start in range(0, points.shape[0], rows):
+        chunk = points[start:start + rows]
+        x, y, z = chunk[:, 0:1], chunk[:, 1:2], chunk[:, 2:3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1x, r1y, r1z = x - a[0], y - a[1], z - a[2]
+            r2x, r2y, r2z = x - b[0], y - b[1], z - b[2]
+            n1_sq = r1x * r1x + r1y * r1y + r1z * r1z
+            n2_sq = r2x * r2x + r2y * r2y + r2z * r2z
+            n1, n2 = np.sqrt(n1_sq), np.sqrt(n2_sq)
+            cx = r1y * r2z - r1z * r2y
+            cy = r1z * r2x - r1x * r2z
+            cz = r1x * r2y - r1y * r2x
+            n12 = n1 * n2
+            coef = k * (n1 + n2) / (
+                n12 * (n12 + (r1x * r2x + r1y * r2y + r1z * r2z)))
+            rows_out = np.empty((chunk.shape[0], 3))
+            rows_out[:, 0] = (coef * cx).sum(axis=1)
+            rows_out[:, 1] = (coef * cy).sum(axis=1)
+            rows_out[:, 2] = (coef * cz).sum(axis=1)
+            cross_sq = cx * cx + cy * cy + cz * cz
+            near = np.flatnonzero(
+                (cross_sq < 2.0 * eps * eps * length_sq).any(axis=1))
+            if near.size:
+                along = (r1x[near] * line[0] + r1y[near] * line[1]
+                         + r1z[near] * line[2])
+                dist_sq = np.where(along <= 0.0, n1_sq[near],
+                                   np.where(along >= length_sq, n2_sq[near],
+                                            cross_sq[near] / length_sq))
+                rows_out[near[(dist_sq < eps * eps).any(axis=1)]] = np.nan
+        out[start:start + rows] = rows_out
+    return out
+
+
+PRESETS = ("AntiHelmholtz", "TwoPiece", "CompactFour", "TwistedCage",
+           "IoffePritchard")
+
+
+@pytest.mark.parametrize("variant", PRESETS)
+def test_field_many_is_bitwise_equal_to_the_reference(monkeypatch, variant):
+    segs = mk.build(mk.GeometrySpec(variant))
+    points = kernel_points(segs, 60, np.random.default_rng(5))
+    expected = reference_field(segs, points)
+    assert np.isnan(expected[:, 0]).sum() >= 2
+    for chunk in (1, 7, _CHUNK_PAIRS):
+        monkeypatch.setattr(mk.field, "_CHUNK_PAIRS", chunk)
+        B = mk.field_many(segs, points)
+        assert B.tobytes() == expected.tobytes(), chunk
+
+
+@pytest.mark.parametrize("variant", ["TwoPiece", "AntiHelmholtz"])
+@pytest.mark.parametrize("n", [50, 2000])
+def test_field_many_temporaries_stay_under_2_mb(variant, n):
+    # the README promises about 1.5 MB of kernel temporaries at any size
+    segs = mk.build(mk.GeometrySpec(variant))
+    points = np.random.default_rng(0).uniform(-8e-3, 8e-3, size=(n, 3))
+    tracemalloc.start()
+    try:
+        B = mk.field_many(segs, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - B.nbytes < 2e6
 
 
 def test_field_many_nan_rows_exactly_within_eps_sing():
