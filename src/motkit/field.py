@@ -13,6 +13,16 @@ filament as NaN rows; `field_at` raises SingularPoint for them instead.
 `field_many` walks the points in chunks that write into one set of scratch
 arrays, allocated once per call; the rows are bitwise the same whatever the
 chunk size.
+
+Consecutive filaments of a path share a vertex, so each vertex's offset
+p - v and distance |p - v| are formed once per point: r2 and |r2| of a
+segment are r1 and |r1| of the next one, and only the breaks (a segment
+whose end is not the next one's start, and the last segment) form their
+own.  Singular points are screened with one compare per pair on a sum the
+field needs anyway: by the triangle inequality a point within d of a
+segment has |r1| + |r2| <= |l| + 2d, so only rows with some
+|r1| + |r2| < |l| + 4 EPS_SING can lie within EPS_SING of a filament, and
+only those rows compute the exact distance.
 """
 from __future__ import annotations
 
@@ -64,26 +74,39 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
     line = ends[1] - ends[0]
     length_sq = line[0] * line[0] + line[1] * line[1] + line[2] * line[2]
     k = MU_0 / (4.0 * math.pi) * segments.currents
-    near_sq = 2.0 * EPS_SING * EPS_SING * length_sq
+    # a point within d of a segment has |r1| + |r2| <= |l| + 2d; the screen
+    # doubles that margin for d = EPS_SING so that rounding cannot drop a row
+    reach = np.sqrt(length_sq) + 4.0 * EPS_SING
+    # break columns: each segment whose end is not the next one's start, and
+    # the last one
+    brk = np.flatnonzero(np.append(
+        (ends[1, :, :-1] != ends[0, :, 1:]).any(axis=0), True))
+    brk_ends = ends[1][:, brk]
     rows = max(1, _CHUNK_PAIRS // n)
     m = min(rows, points.shape[0])
-    r_buf = np.empty((2, 3, m, n))      # r1, r2: point minus segment ends
+    r1_buf = np.empty((3, m, n))        # point minus segment start
+    r2_buf = np.empty((3, m, n))        # point minus segment end
     prod_buf = np.empty((2, 3, m, n))   # products, |r1|, |r2|, k (|r1|+|r2|)
     cross_buf = np.empty((3, m, n))     # r1 x r2
-    sq_buf = np.empty((2, m, n))        # |r1|^2, |r2|^2
     dot_buf = np.empty((m, n))          # r1.r2, then the denominator
-    tmp_buf = np.empty((m, n))          # |r1||r2|, coef, then |r1 x r2|^2
+    tmp_buf = np.empty((m, n))          # |r1|^2, |r1||r2|, then coef
     hit_buf = np.empty((m, n), dtype=bool)
+    brk_buf = np.empty((2, 3, m, brk.size))  # r2 at the breaks, squared
+    brk_norm_buf = np.empty((m, brk.size))   # |r2| at the breaks
     out = np.empty(points.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, points.shape[0], rows):
             p = points[start:start + rows]
             t = p.shape[0]
-            r, prod = r_buf[:, :, :t], prod_buf[:, :, :t]
-            cross, sq = cross_buf[:, :t], sq_buf[:, :t]
-            dot, tmp, hit = dot_buf[:t], tmp_buf[:t], hit_buf[:t]
-            np.subtract(p.T[None, :, :, None], ends[:, :, None, :], out=r)
-            r1, r2 = r
+            r1, r2, cross = r1_buf[:, :t], r2_buf[:, :t], cross_buf[:, :t]
+            prod, dot, tmp = prod_buf[:, :, :t], dot_buf[:t], tmp_buf[:t]
+            rb, rb_sq = brk_buf[0, :, :t], brk_buf[1, :, :t]
+            rb_norm, hit = brk_norm_buf[:t], hit_buf[:t]
+            np.subtract(p.T[:, :, None], ends[0][:, None, :], out=r1)
+            # r2 of each segment is r1 of the next one, except at the breaks
+            np.copyto(r2[:, :, :-1], r1[:, :, 1:])
+            np.subtract(p.T[:, :, None], brk_ends[:, None, :], out=rb)
+            r2[:, :, brk] = rb
             # r1 x r2 = (r1y r2z, r1z r2x, r1x r2y)
             #         - (r1z r2y, r1x r2z, r1y r2x)
             np.multiply(r1[1:], r2[2::-2], out=prod[0, :2])
@@ -91,11 +114,18 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
             np.multiply(r1[2::-2], r2[1:], out=prod[1, :2])
             np.multiply(r1[1], r2[0], out=prod[1, 2])
             np.subtract(prod[0], prod[1], out=cross)
-            np.multiply(r, r, out=prod)
-            np.add(prod[:, 0], prod[:, 1], out=sq)
-            np.add(sq, prod[:, 2], out=sq)
+            # |r1|, and |r2| shifted from it like r2 from r1
             norm = prod[0, :2]
-            np.sqrt(sq, out=norm)
+            np.multiply(r1, r1, out=prod[0])
+            np.add(prod[0, 0], prod[0, 1], out=tmp)
+            np.add(tmp, prod[0, 2], out=tmp)
+            np.sqrt(tmp, out=norm[0])
+            np.copyto(norm[1][:, :-1], norm[0][:, 1:])
+            np.multiply(rb, rb, out=rb_sq)
+            np.add(rb_sq[0], rb_sq[1], out=rb_norm)
+            np.add(rb_norm, rb_sq[2], out=rb_norm)
+            np.sqrt(rb_norm, out=rb_norm)
+            norm[1][:, brk] = rb_norm
             np.multiply(r1, r2, out=prod[1])
             np.add(prod[1, 0], prod[1, 1], out=dot)
             np.add(dot, prod[1, 2], out=dot)
@@ -103,6 +133,7 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
             np.add(tmp, dot, out=dot)
             np.multiply(tmp, dot, out=dot)
             np.add(norm[0], norm[1], out=prod[0, 2])
+            np.less(prod[0, 2], reach, out=hit)
             np.multiply(k, prod[0, 2], out=prod[0, 2])
             # collinear-outside points: cross == 0 while denom > 0; keep
             # the 0/denom
@@ -112,20 +143,18 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
             # A point is singular when its squared distance d2 to a segment
             # is below EPS_SING^2: with u = (r1.l) / |l|^2, d2 is |r1|^2 for
             # u <= 0, |r2|^2 for u >= 1 and |r1 x r2|^2 / |l|^2 between.
-            # That last term is the distance to the segment's line and never
-            # exceeds d2, so d2 is needed only on rows where it falls below
-            # twice the bound.
-            np.multiply(cross, cross, out=prod[0])
-            np.add(prod[0, 0], prod[0, 1], out=tmp)
-            np.add(tmp, prod[0, 2], out=tmp)
-            np.less(tmp, near_sq, out=hit)
-            near = np.flatnonzero(hit.any(axis=1))
-            if near.size:
-                along = (r1[0][near] * line[0] + r1[1][near] * line[1]
-                         + r1[2][near] * line[2])
-                dist_sq = np.where(along <= 0.0, sq[0][near],
-                                   np.where(along >= length_sq, sq[1][near],
-                                            tmp[near] / length_sq))
+            # Only rows that pass the |r1| + |r2| screen can hold such a
+            # point, and only they compute d2.
+            if hit.any():
+                near = np.flatnonzero(hit.any(axis=1))
+                a, b, c = r1[:, near], r2[:, near], cross[:, near]
+                along = a[0] * line[0] + a[1] * line[1] + a[2] * line[2]
+                dist_sq = np.where(
+                    along <= 0.0, a[0] * a[0] + a[1] * a[1] + a[2] * a[2],
+                    np.where(along >= length_sq,
+                             b[0] * b[0] + b[1] * b[1] + b[2] * b[2],
+                             (c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+                             / length_sq))
                 inside = (dist_sq < EPS_SING * EPS_SING).any(axis=1)
                 out[start + near[inside]] = np.nan
     return out

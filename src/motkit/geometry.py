@@ -322,10 +322,17 @@ def _frame(normal):
     ref = np.array([1.0, 0.0, 0.0])
     if abs(n @ ref) > 0.9:
         ref = np.array([0.0, 1.0, 0.0])
-    u = np.cross(ref, n)
+    u = _cross(ref, n)
     u /= np.linalg.norm(u)
-    v = np.cross(n, u)
+    v = _cross(n, u)
     return u, v, n
+
+
+def _cross(a, b):
+    # np.cross by component, in its order, without its per-call overhead
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _loop(center, radius, normal, current, n_segments, group_id):

@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import motkit as mk
+from motkit.cli import export_obj, import_obj
 from motkit.errors import EmptySample, InvalidInput, SingularPoint
 from motkit.field import _CHUNK_PAIRS, _CSV_BLOCK
+from motkit.geometry import MAX_LENGTH
 
 
 def test_loop_center_matches_analytic():
@@ -263,6 +265,99 @@ def test_field_many_is_bitwise_equal_to_the_reference(monkeypatch, variant):
         monkeypatch.setattr(mk.field, "_CHUNK_PAIRS", chunk)
         B = mk.field_many(segs, points)
         assert B.tobytes() == expected.tobytes(), chunk
+
+
+def assert_bitwise_equal_to_the_reference(segs, points):
+    expected = reference_field(segs, points)
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 7, _CHUNK_PAIRS):
+            mp.setattr(mk.field, "_CHUNK_PAIRS", chunk)
+            B = mk.field_many(segs, points)
+            assert B.tobytes() == expected.tobytes(), chunk
+    return expected
+
+
+CORNERS = [(0.0, 0.0, 0.0), (0.04, 0.0, 0.0), (0.04, 0.04, 0.0),
+          (0.0, 0.04, 0.01)]
+# geometries whose vertex sharing differs from the closed presets': the
+# kernel takes r2 from the next segment's r1 only where that segment starts
+# where this one ends
+OFF_PRESET = {
+    "open_path": lambda: mk.make_free_path(CORNERS, 2.0),
+    "closed_path": lambda: mk.make_free_path(CORNERS, -1.5, closed=True),
+    # every segment is a break, and the second starts where the first does
+    "unchained": lambda: mk.SegmentList(
+        [CORNERS[0], CORNERS[0], CORNERS[2], CORNERS[1]],
+        [CORNERS[1], CORNERS[3], CORNERS[0], CORNERS[3]],
+        [1.0, -2.0, 0.5, 3.0], ["g"] * 4),
+    "single_segment": lambda: mk.make_free_path(CORNERS[:2], 1.0),
+    "obj_round_trip": lambda: import_obj(
+        export_obj(mk.make_anti_helmholtz(0.03, 0.03, 50.0, 24)),
+        currents={"coil_top": 50.0, "coil_bottom": -50.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_PRESET))
+def test_field_many_is_bitwise_equal_to_the_reference_off_the_presets(name):
+    segs = OFF_PRESET[name]()
+    points = kernel_points(segs, 60, np.random.default_rng(7))
+    # every vertex, ends included, so that each break column meets a NaN row
+    points = np.vstack([points, segs.ends])
+    expected = assert_bitwise_equal_to_the_reference(segs, points)
+    assert np.isnan(expected[:, 0]).sum() >= 2
+
+
+# a few exact coordinates, with both signed zeros, so that polylines repeat
+# vertices, points land on vertices and segments, and a break can join
+# 0.0 to -0.0
+exact = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 1.0])
+vertex = st.tuples(exact, exact, exact)
+anywhere = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.lists(vertex, min_size=2, max_size=6),
+                          st.floats(-10.0, 10.0)), min_size=1, max_size=4),
+       st.lists(st.one_of(vertex, st.tuples(anywhere, anywhere, anywhere)),
+                min_size=1, max_size=20))
+def test_field_many_is_bitwise_equal_to_the_reference_property(polylines,
+                                                               raw_points):
+    # each polyline's segments chain; a break falls between polylines and
+    # wherever a repeated vertex would give a zero-length segment
+    segments = [(a, b, current) for vertices, current in polylines
+                for a, b in zip(vertices, vertices[1:]) if a != b]
+    assume(segments)
+    starts, ends, currents = zip(*segments)
+    segs = mk.SegmentList(starts, ends, currents, ["g"] * len(segments))
+    assert_bitwise_equal_to_the_reference(segs, np.array(raw_points))
+
+
+@pytest.mark.parametrize("length", [1e-6, MAX_LENGTH])
+def test_singular_screen_at_extreme_lengths(length):
+    eps = mk.EPS_SING
+    # three orthonormal directions
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    v = np.array([2.0, -2.0, 1.0]) / 3.0
+    w = np.array([2.0, 1.0, -2.0]) / 3.0
+    a = np.array([0.1, -0.2, 0.3])
+    b, c = a + length * u, a + length * (u + v)
+    d = a + 3.0 * length * w
+    e = d + length * u
+    # a -> b -> c turns a right angle at the chained vertex b; c and e are
+    # break vertices, and d -> e starts after a break
+    segs = mk.SegmentList([a, b, d], [b, c, e], [1.0, -2.0, 3.0], ["g"] * 3)
+    points, inside = [], []
+    for start, end, along in ((a, b, u), (b, c, v), (d, e, u)):
+        for f in (0.99, 1.01):
+            r = f * eps
+            points += [0.5 * (start + end) + r * w,   # off the interior
+                       start + r * w, end + r * w,    # off each end
+                       start - r * along, end + r * along]  # beyond each end
+            inside += [f < 1.0] * 5
+    points = np.array(points)
+    B = assert_bitwise_equal_to_the_reference(segs, points)
+    assert np.array_equal(np.isnan(B).any(axis=1), inside)
+    assert np.isnan(B[inside]).all()
 
 
 @pytest.mark.parametrize("variant", ["TwoPiece", "AntiHelmholtz"])

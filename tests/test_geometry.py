@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import motkit as mk
-from motkit import cli
+from motkit import cli, geometry
 from motkit.errors import InvalidGeometry, InvalidInput
 
 
@@ -64,6 +64,14 @@ def test_make_loop_right_hand_rule():
     assert mk.field_at(loop, np.zeros(3))[2] > 0
     flipped = mk.make_loop((0, 0, 0), 0.03, (0, 0, -1), 2.0, 64)
     assert mk.field_at(flipped, np.zeros(3))[2] < 0
+
+
+def test_frame_cross_product_is_bitwise_np_cross():
+    # _frame writes the cross product out by component, in np.cross's order
+    rng = np.random.default_rng(2)
+    scale = 10.0 ** rng.uniform(-6, 6, size=(2000, 2, 1))
+    for a, b in rng.normal(size=(2000, 2, 3)) * scale:
+        assert geometry._cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 def test_make_loop_needs_three_segments():
