@@ -11,16 +11,14 @@ from .field import (EPS_SING, MU_0, FieldMap, field_at, field_many,
 from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, ConductorSection,
                        Discretization, GeometrySpec, Material, SegmentList,
                        build, clearance_check, conductor_sections,
-                       make_anti_helmholtz, make_compact_four, make_free_path,
-                       make_ioffe_pritchard, make_loop, make_twisted_cage,
-                       make_two_piece)
+                       make_free_path, make_loop)
 from .optimize import (ObjectiveSpec, OptResult, evaluate_design,
                        objective_from_reports, objective_value,
                        optimize_geometry)
 from .power import (PowerReport, conductor_resistance, current_density,
                     joule_power, power_report,
                     required_heat_transfer_coefficient)
-from .scaling import (ScalingFit, ScalingReport, scaling_report,
-                      verify_scaling_numerically)
+from .scaling import (ScalingFit, ScalingReport, gradient_per_root_watt,
+                      scaling_report, verify_scaling_numerically)
 
 __version__ = "0.1.0"

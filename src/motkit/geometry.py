@@ -7,9 +7,10 @@ with uniform current sharing; cross-sections used for resistance come from
 the declared solid dimensions, not the filament count.
 
 Each trap family is one entry of `REGISTRY`: its parameters with their
-kinds and defaults, its builder and its conductor sections.  `build` checks
-Kirchhoff's current law on every result, so the filaments of each variant
-form closed circuits.
+kinds and defaults, its builder and its conductor sections.  `build` of a
+`GeometrySpec` is the one way to build a family, so every build passes the
+spec's parameter checks, and `build` checks Kirchhoff's current law on every
+result, so the filaments of each variant form closed circuits.
 
 Internal units are strict SI (metre, ampere).
 """
@@ -62,14 +63,6 @@ class SegmentList:
 
     def __len__(self):
         return self.starts.shape[0]
-
-    def __add__(self, other: "SegmentList") -> "SegmentList":
-        return SegmentList(
-            np.vstack([self.starts, other.starts]),
-            np.vstack([self.ends, other.ends]),
-            np.concatenate([self.currents, other.currents]),
-            self.group_ids + other.group_ids,
-        )
 
     # -- group access
 
@@ -354,16 +347,6 @@ def make_loop(center, radius, normal, current, n_segments) -> SegmentList:
     return _assemble([_loop(center, radius, normal, current, n_segments, "loop")])
 
 
-def make_anti_helmholtz(radius, separation, current, n_segments=360) -> SegmentList:
-    """Coaxial loop pair at z = +-separation/2 with opposite currents."""
-    if radius <= 0 or separation <= 0:
-        raise InvalidGeometry("radius and separation must be positive")
-    z = separation / 2.0
-    return _assemble([
-        _loop((0, 0, +z), radius, (0, 0, 1), +current, n_segments, "coil_top"),
-        _loop((0, 0, -z), radius, (0, 0, 1), -current, n_segments, "coil_bottom")])
-
-
 def make_free_path(points, current, closed=False) -> SegmentList:
     """Polyline through `points` in group "path", closed when `closed`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -458,6 +441,18 @@ def _closed_circuit(blocks, current, segments_per_turn):
 
 # ---------------------------------------------------------------------------
 # trap assemblies
+#
+# Each builder takes (parameters, discretization), the parameters already
+# checked and completed by GeometrySpec, and is called through `build` only.
+
+
+def _anti_helmholtz(p, discretization) -> SegmentList:
+    """Coaxial loop pair at z = +-separation/2 with opposite currents."""
+    z = p["separation"] / 2.0
+    n = discretization.segments_per_turn
+    return _assemble([
+        _loop((0, 0, +z), p["radius"], (0, 0, 1), +p["current"], n, "coil_top"),
+        _loop((0, 0, -z), p["radius"], (0, 0, 1), -p["current"], n, "coil_bottom")])
 
 
 # The cylinder-style builders below assemble their conductors about a local
@@ -470,8 +465,7 @@ _CYL_TO_LAB = np.array([[0.0, 1.0, 0.0],
                         [1.0, 0.0, 0.0]])
 
 
-def make_twisted_cage(height, outer_width, bar_diameter, twist_angle, current,
-                      discretization=Discretization()) -> SegmentList:
+def _twisted_cage(p, discretization) -> SegmentList:
     """Four-bar cage with bars twisting about the z-axis.
 
     Bar centrelines follow r(t) = (R cos(theta0 + phi(z)), R sin(...), z) with
@@ -488,10 +482,9 @@ def make_twisted_cage(height, outer_width, bar_diameter, twist_angle, current,
     Adjacent bar pairs close into series circuits through end arcs standing
     in for the physical end contacts, keeping every filament loop closed.
     """
-    if min(height, outer_width, bar_diameter) <= 0:
-        raise InvalidGeometry("cage dimensions must be positive")
+    height, bar_diameter, twist_angle = p["height"], p["bar_diameter"], p["twist_angle"]
     r_bar = bar_diameter / 2.0
-    r0 = outer_width / 2.0 - r_bar
+    r0 = p["outer_width"] / 2.0 - r_bar
     if r0 <= 0:
         raise InvalidGeometry("bar diameter exceeds cage width")
     n_pts = max(33, discretization.segments_per_turn // 4 + 1)
@@ -521,7 +514,7 @@ def make_twisted_cage(height, outer_width, bar_diameter, twist_angle, current,
                 raise InvalidGeometry(f"bars {i} and {j} intersect")
     # each up-bar pairs with the next down-bar into one closed circuit, the
     # joining end arcs standing in for the physical end-ring contacts
-    share = current / discretization.bundle_filaments
+    share = p["current"] / discretization.bundle_filaments
     spt = discretization.segments_per_turn
     circuits = []
     for k_up in (0, 2):
@@ -535,8 +528,7 @@ def make_twisted_cage(height, outer_width, bar_diameter, twist_angle, current,
     return _assemble(circuits, rot45)
 
 
-def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
-                      discretization=Discretization()) -> SegmentList:
+def _compact_four(p, discretization) -> SegmentList:
     """Four-piece trap: one straight prong plus one ring arc per piece.
 
     Prongs sit on the diagonals between the beam holes and span just the
@@ -550,13 +542,14 @@ def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
     field.  The assembly is odd under point inversion with current reversal,
     so the field vanishes at the centre exactly.
     """
-    if hole_diameter + 2.0 * gap >= width:
+    gap = p["gap"]
+    if p["hole_diameter"] + 2.0 * gap >= p["width"]:
         raise ClearanceError("hole plus gaps exceeds conductor width")
-    r_out = width / 2.0
-    r_hole = hole_diameter / 2.0
+    r_out = p["width"] / 2.0
+    r_hole = p["hole_diameter"] / 2.0
     margin = 0.2e-3
     grid_n = discretization.arm_grid
-    i_cond = current_per_conductor
+    i_cond = p["current_per_conductor"]
 
     # prong band: wedged between the two horizontal beam cylinders
     half_t = 0.3e-3
@@ -574,7 +567,7 @@ def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
     # effective current sheet sits just above the holes and hugs the outer
     # wall, which reproduces the measured gradient pattern of the solid part
     z_lo = r_hole + margin
-    z_hi = height / 2.0 - margin
+    z_hi = p["height"] / 2.0 - margin
     if z_lo >= z_hi:
         raise ClearanceError("trap too short for ring sections above the beam holes")
     r_arc_out = r_out - margin
@@ -619,9 +612,7 @@ def make_compact_four(height, width, hole_diameter, gap, current_per_conductor,
     return _assemble(circuits, _CYL_TO_LAB)
 
 
-def make_two_piece(height, outer_diameter, arm_width, hole_diameter, gap,
-                   current_per_conductor, arm_depth=0.0016,
-                   discretization=Discretization()) -> SegmentList:
+def _two_piece(p, discretization) -> SegmentList:
     """Two nesting conductors: two straight arms joined by a ~270 deg ring arc.
 
     Piece A: current enters the top of one arm, runs down to the bottom ring,
@@ -633,15 +624,16 @@ def make_two_piece(height, outer_diameter, arm_width, hole_diameter, gap,
     at the centre exactly; the opposed ring circulations give the axial
     gradient.
     """
-    if hole_diameter + 2.0 * gap >= outer_diameter:
+    height, arm_depth, gap = p["height"], p["arm_depth"], p["gap"]
+    if p["hole_diameter"] + 2.0 * gap >= p["outer_diameter"]:
         raise ClearanceError("hole plus gaps exceeds conductor diameter")
-    r_out = outer_diameter / 2.0
-    r_hole = hole_diameter / 2.0
+    r_out = p["outer_diameter"] / 2.0
+    r_hole = p["hole_diameter"] / 2.0
     margin = 0.2e-3
     grid_n = discretization.arm_grid
-    i_cond = current_per_conductor
+    i_cond = p["current_per_conductor"]
 
-    half_t = arm_width / 2.0 * 0.4      # filament spread, not the solid width
+    half_t = p["arm_width"] / 2.0 * 0.4   # filament spread, not the solid width
     half_r = arm_depth / 2.0 * 0.6
     r_arm = r_out - margin - arm_depth / 2.0
     delta = (half_t) / (r_arm - half_r)
@@ -691,13 +683,10 @@ def make_two_piece(height, outer_diameter, arm_width, hole_diameter, gap,
     return _assemble(piece_a + piece_b, _CYL_TO_LAB)
 
 
-def make_ioffe_pritchard(bar_length, bar_radius, bar_current, coil_radius,
-                         coil_separation, coil_current,
-                         discretization=Discretization()) -> SegmentList:
+def _ioffe_pritchard(p, discretization) -> SegmentList:
     """Classic Ioffe-Pritchard trap: four alternating bars plus a coil pair
     carrying parallel currents."""
-    if min(bar_length, bar_radius, coil_radius, coil_separation) <= 0:
-        raise InvalidGeometry("dimensions must be positive")
+    bar_length, bar_radius = p["bar_length"], p["bar_radius"]
     circuits = []
     spt = discretization.segments_per_turn
     for k_up in (0, 2):
@@ -710,11 +699,11 @@ def make_ioffe_pritchard(bar_length, bar_radius, bar_current, coil_radius,
         # adjacent bars with opposite currents close through end arcs,
         # standing in for the physical end contacts
         circuits.append(_closed_circuit([(bar_u, f"bar{k_up}"),
-                                         (bar_d, f"bar{k_up + 1}")], bar_current, spt))
-    circuits.append(_loop((0, 0, +coil_separation / 2.0), coil_radius, (0, 0, 1),
-                          coil_current, spt, "coil_top"))
-    circuits.append(_loop((0, 0, -coil_separation / 2.0), coil_radius, (0, 0, 1),
-                          coil_current, spt, "coil_bottom"))
+                                         (bar_d, f"bar{k_up + 1}")], p["bar_current"], spt))
+    z = p["coil_separation"] / 2.0
+    circuits += [
+        _loop((0, 0, +z), p["coil_radius"], (0, 0, 1), p["coil_current"], spt, "coil_top"),
+        _loop((0, 0, -z), p["coil_radius"], (0, 0, 1), p["coil_current"], spt, "coil_bottom")]
     return _assemble(circuits)
 
 
@@ -786,7 +775,7 @@ def _ioffe_pritchard_sections(p):
 def _twisted_cage_sections(p):
     area = math.pi * (p["bar_diameter"] / 2.0) ** 2
     # arc length of the twisted centreline
-    segs = make_twisted_cage(**p, discretization=Discretization(64, 1, 1))
+    segs = _twisted_cage(p, Discretization(64, 1, 1))
     out = []
     for k in range(4):
         length = float(segs.group(f"bar{k}").lengths.sum())
@@ -857,40 +846,32 @@ REGISTRY = {
     "AntiHelmholtz": Variant(
         {"radius": (LENGTH, 0.050), "separation": (LENGTH, 0.050),
          "current": (NUMBER, 100.0), "wire_diameter": (LENGTH, 0.001)},
-        lambda p, d: make_anti_helmholtz(p["radius"], p["separation"],
-                                         p["current"], d.segments_per_turn),
-        _anti_helmholtz_sections),
+        _anti_helmholtz, _anti_helmholtz_sections),
     "IoffePritchard": Variant(
         {"bar_length": (LENGTH, 0.110), "bar_radius": (LENGTH, 0.0225),
          "bar_current": (NUMBER, 100.0), "coil_radius": (LENGTH, 0.030),
          "coil_separation": (LENGTH, 0.080), "coil_current": (NUMBER, 100.0),
          "wire_diameter": (LENGTH, 0.001)},
-        lambda p, d: make_ioffe_pritchard(p["bar_length"], p["bar_radius"],
-                                          p["bar_current"], p["coil_radius"],
-                                          p["coil_separation"], p["coil_current"], d),
-        _ioffe_pritchard_sections),
+        _ioffe_pritchard, _ioffe_pritchard_sections),
     # reference design: 110 mm tall, 55 mm outer width, 10 mm bars, 100 A
     "TwistedCage": Variant(
         {"height": (LENGTH, 0.110), "outer_width": (LENGTH, 0.055),
          "bar_diameter": (LENGTH, 0.010), "twist_angle": (NUMBER, 0.5),
          "current": (NUMBER, 100.0)},
-        lambda p, d: make_twisted_cage(**p, discretization=d),
-        _twisted_cage_sections),
+        _twisted_cage, _twisted_cage_sections),
     # reference design: 45 mm tall, 24 mm wide, 15 mm holes, 0.5 mm gaps, 40 A
     "CompactFour": Variant(
         {"height": (LENGTH, 0.045), "width": (LENGTH, 0.024),
          "hole_diameter": (LENGTH, 0.015), "gap": (LENGTH, 0.0005),
          "current_per_conductor": (NUMBER, 40.0)},
-        lambda p, d: make_compact_four(**p, discretization=d),
-        _compact_four_sections),
+        _compact_four, _compact_four_sections),
     # reference design: 38 mm tall, 26 mm outer diameter, 3.1 mm arms, 25 A
     "TwoPiece": Variant(
         {"height": (LENGTH, 0.038), "outer_diameter": (LENGTH, 0.026),
          "arm_width": (LENGTH, 0.0031), "hole_diameter": (LENGTH, 0.015),
          "gap": (LENGTH, 0.0005), "current_per_conductor": (NUMBER, 25.0),
          "arm_depth": (LENGTH, 0.0016)},
-        lambda p, d: make_two_piece(**p, discretization=d),
-        _two_piece_sections),
+        _two_piece, _two_piece_sections),
     # an open path is fed at its two ends
     "FreePath": Variant(
         {"points": (POINTS, ()), "current": (NUMBER, 1.0), "closed": (FLAG, False)},

@@ -195,3 +195,18 @@ def test_criterion_12_reproducibility(tmp_path):
     for name in files:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     print("criterion 12: PASS (byte-identical outputs across two runs)")
+
+
+def test_criterion_13_headline_gradient_per_root_watt():
+    # the abstract's "gradients around 15 G/cm ... Joule heating as low as
+    # 0.2 W" as a current-free figure, on the axial gradient
+    spec = mk.GeometrySpec("TwoPiece")
+    segs, _, rep = _analyze("TwoPiece")
+    figure = mk.gradient_per_root_watt(rep, mk.power_report(spec, mk.COPPER))
+    headline = 15.0 / math.sqrt(0.2)
+    assert figure[2] >= headline
+    ok, clearance = mk.clearance_check(segs, 15e-3)
+    assert ok
+    print(f"criterion 13: PASS (|g|/sqrt(P) = {figure[0]:.2f}/{figure[1]:.2f}/"
+          f"{figure[2]:.2f} G/cm/W^0.5 vs {headline:.2f}, 15 mm beams clear "
+          f"by {clearance * 1e3:.2f} mm)")

@@ -35,7 +35,9 @@ def test_find_zero_of_offset_quadrupole():
 
 
 def test_find_zero_on_anti_helmholtz():
-    segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 120)
+    segs = mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
+        mk.Discretization(120)))
     zero = mk.find_field_zero(segs)
     assert np.linalg.norm(zero) < 1e-9
 
@@ -139,7 +141,9 @@ def test_jacobian_recovers_linear_matrix():
 
 
 def test_jacobian_of_anti_helmholtz_is_traceless_and_symmetric():
-    segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 120)
+    segs = mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
+        mk.Discretization(120)))
     j = mk.jacobian_at(segs, np.array([0.5e-3, -0.3e-3, 0.8e-3]), 5e-6)
     scale = np.linalg.norm(j)
     assert abs(np.trace(j)) < 1e-6 * scale

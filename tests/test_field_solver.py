@@ -60,11 +60,19 @@ def test_point_on_segment_raises_singular():
     assert err.value.segment_index == 0
 
 
+def _joined(a, b):
+    """One SegmentList with the filaments of `a` followed by those of `b`."""
+    return mk.SegmentList(np.vstack([a.starts, b.starts]),
+                          np.vstack([a.ends, b.ends]),
+                          np.concatenate([a.currents, b.currents]),
+                          a.group_ids + b.group_ids)
+
+
 def test_superposition_and_current_linearity():
     a = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 2.0)
     b = mk.make_free_path([(0, 1, -1), (0, 1, 1)], -1.0)
     p = np.array([0.05, 0.3, 0.01])
-    combined = mk.field_at(a + b, p)
+    combined = mk.field_at(_joined(a, b), p)
     assert combined == pytest.approx(mk.field_at(a, p) + mk.field_at(b, p),
                                      rel=1e-12)
     doubled = mk.field_at(
@@ -76,11 +84,13 @@ def test_opposite_currents_cancel_exactly():
     a = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.5)
     b = mk.make_free_path([(0, 0, -1), (0, 0, 1)], -1.5)
     p = np.array([0.02, -0.01, 0.3])
-    assert np.all(mk.field_at(a + b, p) == 0.0)
+    assert np.all(mk.field_at(_joined(a, b), p) == 0.0)
 
 
 def test_sample_line_positions_and_shape():
-    segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 60)
+    segs = mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
+        mk.Discretization(60)))
     fmap = mk.sample_line(segs, (0, 0, 0), (0, 0, 2.0), 0.004, 9)
     assert fmap.shape == (9,)
     assert fmap.positions.shape == (9, 3)
@@ -197,7 +207,9 @@ def kernel_points(segments, n, rng):
 
 
 def test_field_many_is_bitwise_independent_of_chunks(monkeypatch):
-    segs = mk.make_anti_helmholtz(0.05, 0.05, 100.0, 90)
+    segs = mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
+        mk.Discretization(90)))
     points = kernel_points(segs, 200, np.random.default_rng(3))
     reference = mk.field_many(segs, points)
     assert np.isnan(reference[:, 0]).sum() >= 2
@@ -292,7 +304,10 @@ OFF_PRESET = {
         [1.0, -2.0, 0.5, 3.0], ["g"] * 4),
     "single_segment": lambda: mk.make_free_path(CORNERS[:2], 1.0),
     "obj_round_trip": lambda: import_obj(
-        export_obj(mk.make_anti_helmholtz(0.03, 0.03, 50.0, 24)),
+        export_obj(mk.build(mk.GeometrySpec(
+            "AntiHelmholtz",
+            {"radius": 0.03, "separation": 0.03, "current": 50.0},
+            mk.Discretization(24)))),
         currents={"coil_top": 50.0, "coil_bottom": -50.0}),
 }
 

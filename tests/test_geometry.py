@@ -228,7 +228,9 @@ def test_discretization_validation():
 
 def test_anti_helmholtz_on_axis_gradient_matches_analytic():
     r, sep, current = 0.05, 0.05, 100.0
-    segs = mk.make_anti_helmholtz(r, sep, current, 720)
+    segs = mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": r, "separation": sep, "current": current},
+        mk.Discretization(720)))
     d = sep / 2.0
     # each loop contributes (3/2) mu0 I r^2 d / (r^2+d^2)^(5/2); the pair doubles it
     expected = 3.0 * mk.MU_0 * current * r * r * d / (r * r + d * d) ** 2.5

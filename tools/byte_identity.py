@@ -9,8 +9,7 @@ run below calls `motkit.cli.main` with the same argv against each tree, each
 in a fresh interpreter that writes no bytecode, and compares the exit code,
 standard output and every file written to `--out`:
 
-* `simulate` on the 4 bundled presets;
-* `export` of the two_piece preset;
+* `simulate` and `export` on each of the 4 bundled presets;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
@@ -51,7 +50,7 @@ def runs(config_dir: str):
     """(label, argv without --out) for every compared invocation."""
     for preset in PRESETS:
         yield f"simulate-{preset}", ["simulate", "--config", preset]
-    yield "export-two_piece", ["export", "--config", "two_piece"]
+        yield f"export-{preset}", ["export", "--config", preset]
     for name in workloads.NAMES:
         seeds = OPTIMIZE_SEEDS if name == "optimize-coil24" else OTHER_SEEDS
         for seed in seeds:
