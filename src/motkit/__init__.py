@@ -8,7 +8,7 @@ from .errors import (ClearanceError, DegenerateFit, EmptySample,
                      ZeroNotBracketed)
 from .field import (EPS_SING, MU_0, FieldMap, field_at, field_many,
                     field_map_csv, sample_line, sample_plane)
-from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, ConductorSection,
+from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, Conductor,
                        Discretization, GeometrySpec, Material, SegmentList,
                        build, clearance_check, conductor_sections,
                        make_free_path, make_loop)

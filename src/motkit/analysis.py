@@ -110,7 +110,7 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     returned only if its |B| is no larger than at its start point, and the
     start otherwise.
     """
-    if search_radius <= 0:
+    if not (search_radius > 0):
         raise InvalidInput("search radius must be positive")
     f = as_field(source)
     c = np.array(search_center, dtype=float)
@@ -199,7 +199,7 @@ def _no_worse(f, p, start, m_start) -> np.ndarray:
 
 def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:
     """Central-difference Jacobian dB_i/dx_j (T/m); column j is d/dx_j."""
-    if h <= 0:
+    if not (h > 0):
         raise InvalidInput("stencil step must be positive")
     f = as_field(source)
     p = np.asarray(p, dtype=float)
@@ -231,7 +231,7 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     is non-differentiable at the zero; slope magnitudes agree on each
     half-axis.
     """
-    if window <= 0:
+    if not (window > 0):
         raise InvalidInput("fit window must be positive")
     if n < 5:
         raise InvalidInput("need at least 5 samples per axis")

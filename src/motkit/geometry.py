@@ -7,7 +7,7 @@ with uniform current sharing; cross-sections used for resistance come from
 the declared solid dimensions, not the filament count.
 
 Each trap family is one entry of `REGISTRY`: its parameters with their
-kinds and defaults, its builder and its conductor sections.  `build` of a
+kinds and defaults, its builder and its solid conductors.  `build` of a
 `GeometrySpec` is the one way to build a family, so every build passes the
 spec's parameter checks, and `build` checks Kirchhoff's current law on every
 result, so the filaments of each variant form closed circuits.
@@ -28,8 +28,9 @@ from .errors import ClearanceError, InvalidGeometry, InvalidInput
 # upper bound on the worst-case segment count a discretization may ask for;
 # the presets need at most about 16,000
 MAX_SEGMENTS = 1_000_000
-# metres: upper bound on every length and point coordinate a config gives,
-# far below the 1e77 m where the field kernel's products of distances overflow
+# metres: upper bound on every length and point coordinate a config or a
+# GeometrySpec gives, far below the 1e77 m where the field kernel's products
+# of distances overflow
 MAX_LENGTH = 1e3
 
 
@@ -179,6 +180,13 @@ def _check(key, kind, value):
         raise InvalidInput(f"{key} must be a string")
 
 
+def _check_cap(key, kind, value):
+    """Reject a length or coordinate, in metres, beyond MAX_LENGTH."""
+    if ((kind == LENGTH and abs(value) > MAX_LENGTH) or (kind == POINTS and any(
+            abs(c) > MAX_LENGTH for p in value for c in p))):
+        raise InvalidInput(f"{key} exceeds the {MAX_LENGTH:g} m length cap")
+
+
 def _scale(kind, value, k):
     """A parameter value with every length in it multiplied by k."""
     if kind == LENGTH:
@@ -217,8 +225,7 @@ def _read(kind, value, key):
                      for i, (k, v) in enumerate(zip(kind, value)))
     _check(key, kind, value)
     value = _scale(kind, float(value) if kind in (LENGTH, NUMBER) else value, 1e-3)
-    if kind in (LENGTH, POINTS) and np.abs(value).max(initial=0.0) > MAX_LENGTH:
-        raise InvalidInput(f"{key} exceeds the {MAX_LENGTH:g} m length cap")
+    _check_cap(key, kind, value)
     return value
 
 
@@ -245,6 +252,7 @@ class GeometrySpec:
             merged[key] = value
         for key, (kind, _) in known.items():
             _check(f"parameter {key!r}", kind, merged[key])
+            _check_cap(f"parameter {key!r}", kind, merged[key])
         object.__setattr__(self, "parameters", merged)
 
     def replace_parameters(self, **updates) -> "GeometrySpec":
@@ -259,7 +267,7 @@ class GeometrySpec:
 
     def scaled(self, k: float) -> "GeometrySpec":
         """Scale every length parameter by k (currents untouched)."""
-        if k <= 0:
+        if not (k > 0):
             raise InvalidInput("scale factor must be positive")
         return replace(self, parameters=self._scaled_parameters(k))
 
@@ -734,7 +742,7 @@ def clearance_check(segments: SegmentList, beam_diameter: float):
     Returns (ok, min_clearance): min_clearance is the smallest distance from
     any conductor point to any beam surface (negative when intruding).
     """
-    if beam_diameter <= 0:
+    if not (beam_diameter > 0):
         raise InvalidInput("beam diameter must be positive")
     min_clear = math.inf
     for axis in np.eye(3):
@@ -744,85 +752,67 @@ def clearance_check(segments: SegmentList, beam_diameter: float):
 
 
 # ---------------------------------------------------------------------------
-# solid cross-sections for the power budget
+# solid conductors for the power budget
 
 
 @dataclass(frozen=True)
-class ConductorSection:
+class Conductor:
     group_id: str
-    length: float        # m
-    area: float          # m^2 (declared solid cross-section)
     current: float       # A carried by the physical conductor
+    sections: tuple      # (length m, declared solid cross-section m^2) pairs
 
 
 def _anti_helmholtz_sections(p):
-    area = math.pi * (p["wire_diameter"] / 2.0) ** 2
-    length = 2.0 * math.pi * p["radius"]
-    return [ConductorSection("coil_top", length, area, p["current"]),
-            ConductorSection("coil_bottom", length, area, p["current"])]
+    coil = ((2.0 * math.pi * p["radius"], math.pi * (p["wire_diameter"] / 2.0) ** 2),)
+    return [Conductor(g, p["current"], coil) for g in ("coil_top", "coil_bottom")]
 
 
 def _ioffe_pritchard_sections(p):
     area = math.pi * (p["wire_diameter"] / 2.0) ** 2
-    out = [ConductorSection(f"bar{k}", p["bar_length"], area, p["bar_current"])
-           for k in range(4)]
-    out += [ConductorSection(g, 2.0 * math.pi * p["coil_radius"], area,
-                             p["coil_current"])
-            for g in ("coil_top", "coil_bottom")]
-    return out
+    coil = ((2.0 * math.pi * p["coil_radius"], area),)
+    return ([Conductor(f"bar{k}", p["bar_current"], ((p["bar_length"], area),))
+             for k in range(4)]
+            + [Conductor(g, p["coil_current"], coil)
+               for g in ("coil_top", "coil_bottom")])
 
 
 def _twisted_cage_sections(p):
     area = math.pi * (p["bar_diameter"] / 2.0) ** 2
     # arc length of the twisted centreline
     segs = _twisted_cage(p, Discretization(64, 1, 1))
-    out = []
-    for k in range(4):
-        length = float(segs.group(f"bar{k}").lengths.sum())
-        out.append(ConductorSection(f"bar{k}", length, area, p["current"]))
-    return out
+    return [Conductor(f"bar{k}", p["current"],
+                      ((float(segs.group(f"bar{k}").lengths.sum()), area),))
+            for k in range(4)]
 
 
 def _compact_four_sections(p):
     r_out = p["width"] / 2.0
     r_hole = p["hole_diameter"] / 2.0
-    prong_len = p["hole_diameter"] + (p["height"] / 2.0 - r_hole)  # to arc mid
-    prong_area = 2.0e-6  # slim wedge between the beam holes
-    arc_len = (math.pi / 2.0) * 0.5 * (r_out + r_hole)
-    arc_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
-    out = []
-    for k in range(4):
-        g = f"conductor{k}"
-        out.append(ConductorSection(g, prong_len, prong_area,
-                                    p["current_per_conductor"]))
-        out.append(ConductorSection(g, arc_len, arc_area,
-                                    p["current_per_conductor"]))
-    return out
+    half_h = p["height"] / 2.0
+    # to the arc's mid-plane, through the slim wedge between the beam holes
+    prong = (p["hole_diameter"] + (half_h - r_hole), 2.0e-6)
+    arc = ((math.pi / 2.0) * 0.5 * (r_out + r_hole),
+           (r_out - r_hole) * (half_h - r_hole))
+    return [Conductor(f"conductor{k}", p["current_per_conductor"], (prong, arc))
+            for k in range(4)]
 
 
 def _two_piece_sections(p):
     r_out = p["outer_diameter"] / 2.0
     r_hole = p["hole_diameter"] / 2.0
-    z_ring = 0.5 * (r_hole + p["height"] / 2.0)
-    arm_len = p["height"] / 2.0 + z_ring
-    arm_area = p["arm_width"] * p["arm_depth"]
-    ring_len = 1.5 * math.pi * 0.5 * (r_out + r_hole)  # 270 deg sweep
-    ring_area = (r_out - r_hole) * (p["height"] / 2.0 - r_hole)
-    out = []
-    for g in ("piece_a", "piece_b"):
-        out.append(ConductorSection(g, arm_len, arm_area,
-                                    p["current_per_conductor"]))
-        out.append(ConductorSection(g, arm_len, arm_area,
-                                    p["current_per_conductor"]))
-        out.append(ConductorSection(g, ring_len, ring_area,
-                                    p["current_per_conductor"]))
-    return out
+    half_h = p["height"] / 2.0
+    z_ring = 0.5 * (r_hole + half_h)
+    arm = (half_h + z_ring, p["arm_width"] * p["arm_depth"])
+    ring = (1.5 * math.pi * 0.5 * (r_out + r_hole),  # 270 deg sweep
+            (r_out - r_hole) * (half_h - r_hole))
+    return [Conductor(g, p["current_per_conductor"], (arm, arm, ring))
+            for g in ("piece_a", "piece_b")]
 
 
 def _free_path_sections(p):
     area = math.pi * (0.5e-3) ** 2  # nominal 1 mm wire
-    return [ConductorSection("path", float(make_free_path(**p).lengths.sum()),
-                             area, p["current"])]
+    return [Conductor("path", p["current"],
+                      ((float(make_free_path(**p).lengths.sum()), area),))]
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +822,8 @@ def _free_path_sections(p):
 @dataclass(frozen=True)
 class Variant:
     """One trap family: its parameters as name -> (kind, SI default), its
-    builder (parameters, discretization) -> SegmentList, its solid conductor
-    sections (parameters) -> [ConductorSection] and its terminals
+    builder (parameters, discretization) -> SegmentList, its solid conductors
+    (parameters) -> [Conductor], one per group, and its terminals
     (parameters) -> points where current may enter or leave the filaments."""
 
     parameters: dict
@@ -899,7 +889,8 @@ def build(spec: GeometrySpec) -> SegmentList:
 
 
 def conductor_sections(spec: GeometrySpec):
-    """Per-conductor path sections (length, solid cross-section, current).
+    """One Conductor per group: its current and its solid sections, each a
+    (length, cross-section) pair.
 
     Resistance models the printed solid, so areas come from the declared
     dimensions rather than filament counts.

@@ -40,7 +40,9 @@ class ObjectiveSpec:
             raise InvalidInput("target gradient must be positive and finite")
         if not (math.isfinite(self.power_ref) and self.power_ref > 0):
             raise InvalidInput("power reference must be positive and finite")
-        if min(self.w_mag, self.w_ratio, self.w_power) < 0:
+        if not (math.isfinite(self.beam_diameter) and self.beam_diameter > 0):
+            raise InvalidInput("beam diameter must be positive and finite")
+        if not all(w >= 0 for w in (self.w_mag, self.w_ratio, self.w_power)):
             raise InvalidInput("weights must be non-negative")
         if max(self.w_mag, self.w_ratio, self.w_power) == 0:
             raise InvalidInput("at least one weight must be positive")

@@ -9,21 +9,21 @@ from .geometry import COPPER, GeometrySpec, Material, conductor_sections
 
 def conductor_resistance(length: float, area: float, material: Material) -> float:
     """R = resistivity * length / area (ohm)."""
-    if length <= 0 or area <= 0:
+    if not (length > 0 and area > 0):
         raise InvalidInput("length and area must be positive")
     return material.resistivity * length / area
 
 
 def joule_power(current: float, resistance: float) -> float:
     """P = I^2 R (watt)."""
-    if resistance < 0:
+    if not (resistance >= 0):
         raise InvalidInput("resistance must be non-negative")
     return current * current * resistance
 
 
 def current_density(current: float, area: float) -> float:
     """Current density in A/mm^2 for a conductor of cross-section `area` m^2."""
-    if area <= 0:
+    if not (area > 0):
         raise InvalidInput("area must be positive")
     return current / (area * 1.0e6)
 
@@ -31,7 +31,7 @@ def current_density(current: float, area: float) -> float:
 def required_heat_transfer_coefficient(power: float, contact_area: float,
                                        delta_t: float) -> float:
     """W/m^2K needed to sink `power` through `contact_area` at `delta_t`."""
-    if contact_area <= 0 or delta_t <= 0:
+    if not (contact_area > 0 and delta_t > 0):
         raise InvalidInput("contact area and temperature budget must be positive")
     return power / (contact_area * delta_t)
 
@@ -72,28 +72,23 @@ class PowerReport:
 def power_report(spec: GeometrySpec, material: Material = COPPER) -> PowerReport:
     """Joule budget from the declared solid cross-sections of a geometry.
 
-    The geometric factor sum(length/area) is accumulated per conductor and
-    multiplied by the resistivity once, so that power scales exactly with the
-    material's resistivity ratio.
+    Each conductor carries its one current through its sections in series:
+    its length is the sum of their lengths, its resistance is the
+    resistivity times sum(length/area), multiplied once so that power scales
+    exactly with the material's resistivity ratio, and its current density
+    is taken at its narrowest section.
     """
-    by_group: dict = {}
-    for sec in conductor_sections(spec):
-        entry = by_group.setdefault(sec.group_id,
-                                    {"length": 0.0, "geom": 0.0,
-                                     "min_area": float("inf"),
-                                     "current": sec.current})
-        entry["length"] += sec.length
-        entry["geom"] += sec.length / sec.area
-        entry["min_area"] = min(entry["min_area"], sec.area)
     conductors = []
-    total = 0.0
-    for gid, e in by_group.items():
-        e["resistance"] = material.resistivity * e["geom"]
-        p = joule_power(e["current"], e["resistance"])
-        total += p
+    for c in conductor_sections(spec):
+        narrowest = min(area for _, area in c.sections)
+        resistance = material.resistivity * sum(
+            length / area for length, area in c.sections)
         conductors.append(ConductorBudget(
-            group_id=gid, length=e["length"], cross_section=e["min_area"],
-            resistance=e["resistance"], current=e["current"], power=p,
-            current_density=current_density(e["current"], e["min_area"])))
+            group_id=c.group_id,
+            # a float start, so that integer lengths still report as floats
+            length=sum((length for length, _ in c.sections), 0.0),
+            cross_section=narrowest, resistance=resistance, current=c.current,
+            power=joule_power(c.current, resistance),
+            current_density=current_density(c.current, narrowest)))
     return PowerReport(material=material, conductors=tuple(conductors),
-                       total_power=total)
+                       total_power=sum(c.power for c in conductors))

@@ -164,6 +164,31 @@ def test_zero_x_gradient_is_degenerate():
         mk.fit_gradients(linear_field(m), np.zeros(3))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: mk.clearance_check(
+        mk.build(mk.GeometrySpec("TwoPiece")), np.nan), id="beam_diameter"),
+    pytest.param(lambda: mk.ObjectiveSpec(beam_diameter=np.nan),
+                 id="objective_beam_diameter"),
+    pytest.param(lambda: mk.ObjectiveSpec(w_mag=np.nan), id="objective_weight"),
+    pytest.param(lambda: mk.find_field_zero(
+        linear_field(QUADRUPOLE), search_radius=np.nan), id="search_radius"),
+    pytest.param(lambda: mk.fit_gradients(
+        linear_field(QUADRUPOLE), np.zeros(3), window=np.nan), id="window"),
+    pytest.param(lambda: mk.jacobian_at(
+        linear_field(QUADRUPOLE), np.zeros(3), h=np.nan), id="stencil_step"),
+    pytest.param(lambda: mk.conductor_resistance(np.nan, 1e-6, mk.COPPER),
+                 id="conductor_length"),
+    pytest.param(lambda: mk.joule_power(1.0, np.nan), id="resistance"),
+    pytest.param(lambda: mk.current_density(1.0, np.nan), id="area"),
+    pytest.param(lambda: mk.required_heat_transfer_coefficient(1.0, 1e-4, np.nan),
+                 id="temperature_budget"),
+])
+def test_nan_settings_are_invalid_input(call):
+    # NaN fails every comparison, so each guard must ask for x > 0
+    with pytest.raises(InvalidInput):
+        call()
+
+
 def test_as_field_rejects_other_types():
     with pytest.raises(InvalidInput):
         mk.analysis.as_field(42)

@@ -135,6 +135,23 @@ def test_read_fields_checks_each_kind():
         mk.GeometrySpec("AntiHelmholtz", {"current": True})
 
 
+def test_spec_caps_lengths_from_the_python_api():
+    # the config reader's MAX_LENGTH cap holds for specs made in Python too,
+    # and so for their scaled and re-parametrized copies
+    for make in (lambda: mk.GeometrySpec("AntiHelmholtz",
+                                         {"radius": 1e80, "separation": 1e80},
+                                         mk.Discretization(24)),
+                 lambda: mk.GeometrySpec("AntiHelmholtz").scaled(1e6),
+                 lambda: mk.GeometrySpec("AntiHelmholtz").replace_parameters(
+                     radius=2 * geometry.MAX_LENGTH),
+                 lambda: mk.GeometrySpec("FreePath", {
+                     "points": ((0, 0, 0), (0, 0, -2 * geometry.MAX_LENGTH))})):
+        with pytest.raises(InvalidInput, match="length cap"):
+            make()
+    spec = mk.GeometrySpec("AntiHelmholtz", {"radius": geometry.MAX_LENGTH})
+    assert spec.parameters["radius"] == geometry.MAX_LENGTH
+
+
 def test_spec_scaled_touches_lengths_only():
     spec = mk.GeometrySpec("AntiHelmholtz").scaled(0.5)
     assert spec.parameters["radius"] == pytest.approx(0.025)
@@ -199,17 +216,20 @@ def test_power_budget_and_field_model_name_the_same_conductors():
         params = ({"points": ((0, 0, 0), (0.01, 0, 0), (0.01, 0.01, 0))}
                   if variant == "FreePath" else {})
         spec = mk.GeometrySpec(variant, params)
-        assert set(mk.build(spec).groups()) == {
-            s.group_id for s in mk.conductor_sections(spec)}, variant
+        group_ids = [c.group_id for c in mk.conductor_sections(spec)]
+        assert set(mk.build(spec).groups()) == set(group_ids), variant
+        # one record per conductor
+        assert len(group_ids) == len(set(group_ids)), variant
 
 
 def test_conductor_sections_positive():
     for variant in ("AntiHelmholtz", "IoffePritchard", "TwistedCage",
                     "CompactFour", "TwoPiece"):
-        sections = mk.conductor_sections(mk.GeometrySpec(variant))
-        assert sections
-        for sec in sections:
-            assert sec.length > 0 and sec.area > 0
+        conductors = mk.conductor_sections(mk.GeometrySpec(variant))
+        assert conductors
+        for conductor in conductors:
+            for length, area in conductor.sections:
+                assert length > 0 and area > 0
 
 
 def test_discretization_validation():

@@ -7,18 +7,22 @@ Usage (from the root of a checkout):
 Each argument is a `src/` directory that holds the `motkit` package.  Every
 run below calls `motkit.cli.main` with the same argv against each tree, each
 in a fresh interpreter that writes no bytecode, and compares the exit code,
-standard output and every file written to `--out`:
+standard output, standard error and every file written to `--out`:
 
-* `simulate` and `export` on each of the 4 bundled presets;
+* `simulate` and `export` on each of the 4 bundled presets, and on the
+  geometries no preset holds: IoffePritchard at its defaults and an open and
+  a closed FreePath;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
-The workload configs are written to a temporary directory; `bench/` is only
-read.  Prints one line per run and every output that differs, then exits 1
-if anything differed and 0 if everything was identical.
+These extra configs and the workload configs are written to a temporary
+directory; `bench/` is only read.  Prints one line per run and every output
+that differs, then exits 1 if anything differed and 0 if everything was
+identical.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +36,15 @@ import workloads  # noqa: E402
 PRESETS = ("anti_helmholtz", "compact_four", "twisted_cage", "two_piece")
 OPTIMIZE_SEEDS = range(1, 9)
 OTHER_SEEDS = range(1, 3)
+# mm: a 20 mm square 5 mm above the centre
+SQUARE = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5]]
+# geometry sections of the variants no preset holds
+EXTRA_GEOMETRIES = {
+    "ioffe_pritchard": {"variant": "IoffePritchard"},
+    "free_path_open": {"variant": "FreePath", "parameters": {"points": SQUARE}},
+    "free_path_closed": {"variant": "FreePath",
+                         "parameters": {"points": SQUARE, "closed": True}},
+}
 
 # Runs one CLI invocation with motkit imported from argv[1] and nowhere else.
 RUNNER = (
@@ -51,6 +64,13 @@ def runs(config_dir: str):
     for preset in PRESETS:
         yield f"simulate-{preset}", ["simulate", "--config", preset]
         yield f"export-{preset}", ["export", "--config", preset]
+    os.makedirs(config_dir)
+    for name, geometry in EXTRA_GEOMETRIES.items():
+        config = os.path.join(config_dir, f"{name}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"geometry": geometry}, fh)
+        yield f"simulate-{name}", ["simulate", "--config", config]
+        yield f"export-{name}", ["export", "--config", config]
     for name in workloads.NAMES:
         seeds = OPTIMIZE_SEEDS if name == "optimize-coil24" else OTHER_SEEDS
         for seed in seeds:
