@@ -15,8 +15,7 @@ from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, Conductor,
 from .optimize import (ObjectiveSpec, OptResult, evaluate_design,
                        objective_from_reports, objective_value,
                        optimize_geometry)
-from .power import (PowerReport, conductor_resistance, current_density,
-                    joule_power, power_report,
+from .power import (PowerReport, current_density, joule_power, power_report,
                     required_heat_transfer_coefficient)
 from .scaling import (ScalingFit, ScalingReport, gradient_per_root_watt,
                       scaling_report, verify_scaling_numerically)

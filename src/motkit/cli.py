@@ -54,8 +54,7 @@ MAX_SAMPLES = 1_000_000
 # objective keys named apart from their ObjectiveSpec field
 _OBJECTIVE_FIELDS = {"target_gradient_Gcm": "target_gradient",
                      "beam_diameter_mm": "beam_diameter",
-                     "max_power_W": "max_power", "power_ref_W": "power_ref",
-                     "bounds_mm": "bounds"}
+                     "max_power_W": "max_power", "bounds_mm": "bounds"}
 
 
 def _read_analysis(doc) -> dict:
@@ -101,7 +100,7 @@ def _read_objective(doc, geometry: GeometrySpec, ana: dict) -> ObjectiveSpec:
         "target_gradient_Gcm": NUMBER, "target_ratio": (NUMBER,) * 3,
         "weights": dict.fromkeys(("w_mag", "w_ratio", "w_power"), NUMBER),
         "beam_diameter_mm": LENGTH, "max_power_W": NUMBER,
-        "bounds_mm": bounds, "power_ref_W": NUMBER}, "objective")
+        "bounds_mm": bounds}, "objective")
     return ObjectiveSpec(**given.pop("weights", {}),
                          **{_OBJECTIVE_FIELDS.get(key, key): value
                             for key, value in given.items()},
@@ -201,7 +200,7 @@ def cmd_simulate(args) -> int:
               "zy": ((0, 0, 1), (0, 1, 0))}
     for name, (a1, a2) in planes.items():
         fmap = sample_plane(segs, zero, a1, a2, ana["scan_halfrange"],
-                            ana["plane_points"], ana["plane_points"])
+                            ana["plane_points"])
         outputs[f"plane_{name}.csv"] = field_map_csv(fmap)
     outputs["report.json"] = _json_text({
         "gradient_report": greport.to_json_dict(),
@@ -263,20 +262,15 @@ def export_obj(segments: SegmentList) -> str:
     for gid in segments.groups():
         part = segments.group(gid)
         lines.append(f"o {gid}")
-        index = {}
-        order = []
-        for p in np.vstack([part.starts, part.ends]):
-            key = tuple(np.round(p * 1e3, 6))
-            if key not in index:
-                index[key] = len(order) + 1 + offset
-                order.append(key)
-        for key in order:
-            lines.append("v " + " ".join(f"{c:.6f}" for c in key))
-        for s, e in zip(part.starts, part.ends):
-            i = index[tuple(np.round(s * 1e3, 6))]
-            j = index[tuple(np.round(e * 1e3, 6))]
-            lines.append(f"l {i} {j}")
-        offset += len(order)
+        # the starts, then the ends: segment i runs from row i to row
+        # len(part) + i
+        rows = np.round(np.vstack([part.starts, part.ends]) * 1e3, 6).tolist()
+        index = {}   # vertex -> its 1-based number in the file
+        ids = [index.setdefault(tuple(row), offset + len(index) + 1)
+               for row in rows]
+        lines += ["v " + " ".join(f"{c:.6f}" for c in key) for key in index]
+        lines += [f"l {i} {j}" for i, j in zip(ids[:len(part)], ids[len(part):])]
+        offset += len(index)
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ class InvalidInput(MotKitError):
 
 
 class InvalidGeometry(MotKitError):
-    """A geometry description cannot be realised (degenerate normal, bar collision)."""
+    """A geometry description cannot be realised (bar collision, open circuit)."""
 
     exit_code = 2
 
@@ -28,10 +28,6 @@ class ClearanceError(MotKitError):
 
 class SingularPoint(MotKitError):
     """Field requested too close to a filament for the analytic formula to be trusted."""
-
-    def __init__(self, message, segment_index=None):
-        super().__init__(message)
-        self.segment_index = segment_index
 
 
 class EmptySample(MotKitError):

@@ -174,8 +174,7 @@ def field_at(segments: SegmentList, p) -> np.ndarray:
         dist = _distance_to_segments(p, segments.starts, segments.ends)
         idx = int(np.argmin(dist))
         raise SingularPoint(
-            f"point {p.tolist()} within {EPS_SING:g} m of segment {idx}",
-            segment_index=idx)
+            f"point {p.tolist()} within {EPS_SING:g} m of segment {idx}")
     return b
 
 
@@ -185,43 +184,42 @@ class FieldMap:
 
     positions: np.ndarray  # (N, 3) m
     B: np.ndarray          # (N, 3) tesla, NaN rows are singular gaps
-    shape: tuple           # (n,) for lines, (n1, n2) for planes
 
     @property
     def magnitude(self) -> np.ndarray:
         return np.linalg.norm(self.B, axis=1)
 
 
-def _sample(segments, center, axes, half_range, counts) -> FieldMap:
-    """Row-major grid of counts[i] points on center +- half_range * axes[i]."""
-    if min(counts) < 1:
+def _sample(segments, center, axes, half_range, n) -> FieldMap:
+    """Row-major grid of n points per axis on center +- half_range * axes[i]."""
+    if n < 1:
         raise InvalidInput("need at least one sample per axis")
+    s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
     grid = np.asarray(center, dtype=float)
-    for axis, n in zip(axes, counts):
+    for axis in axes:
         axis = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(axis)
         if norm == 0:
             raise InvalidInput("sample axes must be non-zero")
-        s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
         grid = grid[..., None, :] + s[:, None] * (axis / norm)
     positions = grid.reshape(-1, 3)
     B = field_many(segments, positions)
     if np.all(np.isnan(B[:, 0])):
         raise EmptySample("every sample point is singular")
-    return FieldMap(positions=positions, B=B, shape=counts)
+    return FieldMap(positions=positions, B=B)
 
 
 def sample_line(segments: SegmentList, origin, direction, half_range,
                 n) -> FieldMap:
     """n equally spaced samples on origin +- half_range * direction."""
-    return _sample(segments, origin, (direction,), half_range, (n,))
+    return _sample(segments, origin, (direction,), half_range, n)
 
 
 def sample_plane(segments: SegmentList, center, axis1, axis2, half_range,
-                 n1, n2) -> FieldMap:
-    """Row-major n1 x n2 grid over center + u*axis1 + v*axis2, with u and v
+                 n) -> FieldMap:
+    """Row-major n x n grid over center + u*axis1 + v*axis2, with u and v
     in +- half_range."""
-    return _sample(segments, center, (axis1, axis2), half_range, (n1, n2))
+    return _sample(segments, center, (axis1, axis2), half_range, n)
 
 
 def field_map_csv(fmap: FieldMap) -> str:

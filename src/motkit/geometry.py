@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -260,29 +260,19 @@ class GeometrySpec:
         params.update(updates)
         return replace(self, parameters=params)
 
-    def _scaled_parameters(self, k: float) -> dict:
-        known = REGISTRY[self.variant].parameters
-        return {key: _scale(known[key][0], value, k)
-                for key, value in self.parameters.items()}
-
     def scaled(self, k: float) -> "GeometrySpec":
         """Scale every length parameter by k (currents untouched)."""
         if not (k > 0):
             raise InvalidInput("scale factor must be positive")
-        return replace(self, parameters=self._scaled_parameters(k))
-
-    # -- JSON round trip.  Lengths are millimetres on the wire (matching the
-    # conventional units of trap drawings); currents in amperes.
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "parameters": self._scaled_parameters(1e3),
-            "discretization": asdict(self.discretization),
-        }
+        known = REGISTRY[self.variant].parameters
+        return replace(self, parameters={
+            key: _scale(known[key][0], value, k)
+            for key, value in self.parameters.items()})
 
     @classmethod
     def from_json_dict(cls, doc) -> "GeometrySpec":
+        """The spec of a config's geometry section: lengths in millimetres
+        (the conventional units of trap drawings), currents in amperes."""
         if not isinstance(doc, dict):
             raise InvalidInput("geometry must be a JSON object")
         variant = doc.get("variant")
@@ -314,45 +304,23 @@ def _assemble(circuits, matrix=None) -> SegmentList:
     return SegmentList(starts, ends, currents, group_ids)
 
 
-def _frame(normal):
-    n = np.asarray(normal, dtype=float)
-    norm = np.linalg.norm(n)
-    if not np.all(np.isfinite(n)) or norm < 1e-12:
-        raise InvalidGeometry("degenerate loop normal")
-    n = n / norm
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(n @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    u = _cross(ref, n)
-    u /= np.linalg.norm(u)
-    v = _cross(n, u)
-    return u, v, n
-
-
-def _cross(a, b):
-    # np.cross by component, in its order, without its per-call overhead
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
-def _loop(center, radius, normal, current, n_segments, group_id):
+def _loop(center, radius, current, n_segments, group_id):
     if radius <= 0:
         raise InvalidGeometry("loop radius must be positive")
     if n_segments < 3:
         raise InvalidGeometry("need at least 3 segments for a loop")
-    u, v, _ = _frame(normal)
-    center = np.asarray(center, dtype=float)
     theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
-    pts = center + radius * (np.outer(np.cos(theta), u) + np.outer(np.sin(theta), v))
+    pts = np.asarray(center, dtype=float) + radius * np.column_stack(
+        [np.sin(theta), -np.cos(theta), np.zeros(n_segments)])
     pts = np.vstack([pts, pts[:1]])
     return pts[:-1], pts[1:], current, [group_id] * n_segments
 
 
-def make_loop(center, radius, normal, current, n_segments) -> SegmentList:
-    """Regular n-gon inscribed in a circle, in group "loop"; current sign
-    follows the right-hand rule about `normal`."""
-    return _assemble([_loop(center, radius, normal, current, n_segments, "loop")])
+def make_loop(center, radius, current, n_segments) -> SegmentList:
+    """Regular n-gon inscribed in a circle about `center`, coaxial with z,
+    in group "loop"; a positive current circulates counter-clockwise seen
+    from +z.  A reversed loop is a negated current."""
+    return _assemble([_loop(center, radius, current, n_segments, "loop")])
 
 
 def make_free_path(points, current, closed=False) -> SegmentList:
@@ -459,8 +427,8 @@ def _anti_helmholtz(p, discretization) -> SegmentList:
     z = p["separation"] / 2.0
     n = discretization.segments_per_turn
     return _assemble([
-        _loop((0, 0, +z), p["radius"], (0, 0, 1), +p["current"], n, "coil_top"),
-        _loop((0, 0, -z), p["radius"], (0, 0, 1), -p["current"], n, "coil_bottom")])
+        _loop((0, 0, +z), p["radius"], +p["current"], n, "coil_top"),
+        _loop((0, 0, -z), p["radius"], -p["current"], n, "coil_bottom")])
 
 
 # The cylinder-style builders below assemble their conductors about a local
@@ -710,8 +678,8 @@ def _ioffe_pritchard(p, discretization) -> SegmentList:
                                          (bar_d, f"bar{k_up + 1}")], p["bar_current"], spt))
     z = p["coil_separation"] / 2.0
     circuits += [
-        _loop((0, 0, +z), p["coil_radius"], (0, 0, 1), p["coil_current"], spt, "coil_top"),
-        _loop((0, 0, -z), p["coil_radius"], (0, 0, 1), p["coil_current"], spt, "coil_bottom")]
+        _loop((0, 0, +z), p["coil_radius"], p["coil_current"], spt, "coil_top"),
+        _loop((0, 0, -z), p["coil_radius"], p["coil_current"], spt, "coil_bottom")]
     return _assemble(circuits)
 
 

@@ -26,8 +26,7 @@ class ObjectiveSpec:
     target_ratio: tuple = TARGET_RATIO
     w_mag: float = 1.0
     w_ratio: float = 1.0
-    w_power: float = 0.1
-    power_ref: float = 1.0                     # W; power term is P/power_ref
+    w_power: float = 0.1                       # per W
     beam_diameter: float = 0.015               # m, hard clearance constraint
     max_power: float | None = None             # W, hard cap when set
     bounds: dict = dc_field(default_factory=dict)  # param -> (lo, hi), SI
@@ -38,8 +37,12 @@ class ObjectiveSpec:
     def __post_init__(self):
         if not (math.isfinite(self.target_gradient) and self.target_gradient > 0):
             raise InvalidInput("target gradient must be positive and finite")
-        if not (math.isfinite(self.power_ref) and self.power_ref > 0):
-            raise InvalidInput("power reference must be positive and finite")
+        if not (len(self.target_ratio) == 3
+                and all(map(math.isfinite, self.target_ratio))):
+            raise InvalidInput("target ratio must be three finite numbers")
+        if self.max_power is not None and not (
+                math.isfinite(self.max_power) and self.max_power > 0):
+            raise InvalidInput("power cap must be positive and finite")
         if not (math.isfinite(self.beam_diameter) and self.beam_diameter > 0):
             raise InvalidInput("beam diameter must be positive and finite")
         if not all(w >= 0 for w in (self.w_mag, self.w_ratio, self.w_power)):
@@ -93,7 +96,7 @@ def objective_from_reports(greport: GradientReport, preport: PowerReport | None,
     if obj.max_power is not None and power > obj.max_power:
         return math.inf
     return (obj.w_mag * mag_term + obj.w_ratio * ratio_term
-            + obj.w_power * power / obj.power_ref)
+            + obj.w_power * power)
 
 
 def evaluate_design(spec: GeometrySpec, obj: ObjectiveSpec,

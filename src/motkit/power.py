@@ -7,11 +7,14 @@ from .errors import InvalidInput
 from .geometry import COPPER, GeometrySpec, Material, conductor_sections
 
 
-def conductor_resistance(length: float, area: float, material: Material) -> float:
-    """R = resistivity * length / area (ohm)."""
-    if not (length > 0 and area > 0):
-        raise InvalidInput("length and area must be positive")
-    return material.resistivity * length / area
+def _sum(values) -> float:
+    """Left-to-right float sum.  The builtin sum() compensates its rounding
+    from Python 3.12 on, which would make the figures depend on the Python
+    version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def joule_power(current: float, resistance: float) -> float:
@@ -76,19 +79,18 @@ def power_report(spec: GeometrySpec, material: Material = COPPER) -> PowerReport
     its length is the sum of their lengths, its resistance is the
     resistivity times sum(length/area), multiplied once so that power scales
     exactly with the material's resistivity ratio, and its current density
-    is taken at its narrowest section.
+    is taken at its narrowest section.  Every sum adds left to right.
     """
     conductors = []
     for c in conductor_sections(spec):
         narrowest = min(area for _, area in c.sections)
-        resistance = material.resistivity * sum(
+        resistance = material.resistivity * _sum(
             length / area for length, area in c.sections)
         conductors.append(ConductorBudget(
             group_id=c.group_id,
-            # a float start, so that integer lengths still report as floats
-            length=sum((length for length, _ in c.sections), 0.0),
+            length=_sum(length for length, _ in c.sections),
             cross_section=narrowest, resistance=resistance, current=c.current,
             power=joule_power(c.current, resistance),
             current_density=current_density(c.current, narrowest)))
     return PowerReport(material=material, conductors=tuple(conductors),
-                       total_power=sum(c.power for c in conductors))
+                       total_power=_sum(c.power for c in conductors))

@@ -26,7 +26,7 @@ def _analyze(variant):
 def test_criterion_01_loop_oracle():
     start = time.perf_counter()
     r, current = 0.025, 1.0
-    loop = mk.make_loop((0, 0, 0), r, (0, 0, 1), current, 1000)
+    loop = mk.make_loop((0, 0, 0), r, current, 1000)
     bz = mk.field_at(loop, np.zeros(3))[2]
     expected = mk.MU_0 * current / (2.0 * r)
     elapsed = time.perf_counter() - start

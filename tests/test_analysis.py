@@ -176,8 +176,6 @@ def test_zero_x_gradient_is_degenerate():
         linear_field(QUADRUPOLE), np.zeros(3), window=np.nan), id="window"),
     pytest.param(lambda: mk.jacobian_at(
         linear_field(QUADRUPOLE), np.zeros(3), h=np.nan), id="stencil_step"),
-    pytest.param(lambda: mk.conductor_resistance(np.nan, 1e-6, mk.COPPER),
-                 id="conductor_length"),
     pytest.param(lambda: mk.joule_power(1.0, np.nan), id="resistance"),
     pytest.param(lambda: mk.current_density(1.0, np.nan), id="area"),
     pytest.param(lambda: mk.required_heat_transfer_coefficient(1.0, 1e-4, np.nan),

@@ -235,6 +235,8 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
     # lengths beyond MAX_LENGTH, which would overflow the field kernel
     (["analysis", "scan_halfrange_mm"], 1e300),
     (["analysis", "search_radius_mm"], 1e300),
+    # a power cap must be positive; the default is no cap
+    (["objective", "max_power_W"], -1),
 ])
 def test_malformed_config_is_exit_2(tmp_path, path, value):
     doc = coil_config(objective={
@@ -418,8 +420,7 @@ def _config(junky):
                             "w_ratio": st.floats(0.0, 2.0),
                             "w_power": st.floats(0.0, 2.0)}),
         "beam_diameter_mm": st.floats(1.0, 60.0),
-        "max_power_W": st.one_of(st.none(), st.floats(0.0, 300.0)),
-        "power_ref_W": st.floats(0.1, 10.0)},
+        "max_power_W": st.one_of(st.none(), st.floats(0.0, 300.0))},
         required={"bounds_mm": section({"separation": bound, "current": bound},
                                        required={"radius": bound})})
     return st.fixed_dictionaries(

@@ -60,28 +60,45 @@ def test_build_rejects_a_dropped_connector(monkeypatch, tmp_path):
 
 
 def test_make_loop_right_hand_rule():
-    loop = mk.make_loop((0, 0, 0), 0.03, (0, 0, 1), 2.0, 64)
+    loop = mk.make_loop((0, 0, 0), 0.03, 2.0, 64)
     assert mk.field_at(loop, np.zeros(3))[2] > 0
-    flipped = mk.make_loop((0, 0, 0), 0.03, (0, 0, -1), 2.0, 64)
+    flipped = mk.make_loop((0, 0, 0), 0.03, -2.0, 64)
     assert mk.field_at(flipped, np.zeros(3))[2] < 0
 
 
-def test_frame_cross_product_is_bitwise_np_cross():
-    # _frame writes the cross product out by component, in np.cross's order
-    rng = np.random.default_rng(2)
-    scale = 10.0 ** rng.uniform(-6, 6, size=(2000, 2, 1))
-    for a, b in rng.normal(size=(2000, 2, 3)) * scale:
-        assert geometry._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+def _framed_loop_vertices(center, radius, n_segments):
+    """Loop vertices as an in-plane frame (u, v) about the normal +z gives
+    them: u = x × n and v = n × u, each normalised."""
+    n = np.array([0.0, 0.0, 1.0])
+    u = np.cross(np.array([1.0, 0.0, 0.0]), n)
+    u /= np.linalg.norm(u)
+    v = np.cross(n, u)
+    theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
+    return np.asarray(center, dtype=float) + radius * (
+        np.outer(np.cos(theta), u) + np.outer(np.sin(theta), v))
+
+
+def test_make_loop_is_bitwise_the_framed_construction():
+    for z in (0.0, 0.025, -0.025, 0.040, -0.0312):
+        for radius in (1e-3, 0.0125, 0.03, 0.05):
+            for n in (3, 4, 7, 24, 360, 1000):
+                loop = mk.make_loop((0, 0, z), radius, 1.0, n)
+                assert loop.starts.tobytes() == _framed_loop_vertices(
+                    (0, 0, z), radius, n).tobytes()
+                assert loop.ends.tobytes() == np.roll(loop.starts, -1, axis=0).tobytes()
 
 
 def test_make_loop_needs_three_segments():
     with pytest.raises(InvalidGeometry):
-        mk.make_loop((0, 0, 0), 0.03, (0, 0, 1), 1.0, 2)
+        mk.make_loop((0, 0, 0), 0.03, 1.0, 2)
 
 
 def test_spec_json_round_trip_uses_millimetres():
     spec = mk.GeometrySpec("TwoPiece")
-    doc = spec.to_json_dict()
+    kinds = geometry.REGISTRY["TwoPiece"].parameters
+    doc = {"variant": "TwoPiece", "parameters": {
+        key: value * 1e3 if kinds[key][0] == geometry.LENGTH else value
+        for key, value in spec.parameters.items()}}
     assert doc["parameters"]["height"] == pytest.approx(38.0)
     assert doc["parameters"]["current_per_conductor"] == pytest.approx(25.0)
     back = mk.GeometrySpec.from_json_dict(doc)

@@ -77,9 +77,12 @@ def test_objective_validation():
         mk.ObjectiveSpec(bounds={"separation": (0.1, 0.1)})
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidInput):
-            mk.ObjectiveSpec(power_ref=bad)
-        with pytest.raises(InvalidInput):
             mk.ObjectiveSpec(target_gradient=bad)
+        with pytest.raises(InvalidInput):
+            mk.ObjectiveSpec(max_power=bad)
+    for bad in ((math.nan, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0, -math.inf)):
+        with pytest.raises(InvalidInput):
+            mk.ObjectiveSpec(target_ratio=bad)
     with pytest.raises(InvalidInput):
         mk.optimize_geometry(mk.GeometrySpec("AntiHelmholtz", {}, FAST),
                              mk.ObjectiveSpec(), budget=10)  # no bounds

@@ -7,16 +7,6 @@ import motkit as mk
 from motkit.errors import InvalidInput
 
 
-def test_resistance_formula():
-    # 1 m of 1 mm^2 copper
-    r = mk.conductor_resistance(1.0, 1e-6, mk.COPPER)
-    assert r == pytest.approx(1.68e-2, rel=1e-12)
-    with pytest.raises(InvalidInput):
-        mk.conductor_resistance(-1.0, 1e-6, mk.COPPER)
-    with pytest.raises(InvalidInput):
-        mk.conductor_resistance(1.0, 0.0, mk.COPPER)
-
-
 def test_joule_power():
     assert mk.joule_power(25.0, 4.0e-4) == pytest.approx(0.25)
     with pytest.raises(InvalidInput):
@@ -70,6 +60,32 @@ def test_twisted_cage_power_order_of_magnitude():
     # the volumetric simulation quotes 14.9 W; a filament estimate agrees
     # only to order of magnitude
     assert 0.149 <= report.total_power <= 149.0
+
+
+def _left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("spec", [
+    mk.GeometrySpec("TwoPiece"), mk.GeometrySpec("CompactFour"),
+    mk.GeometrySpec("IoffePritchard"),
+    # Python 3.12's compensated sum() gives this spec another total
+    mk.GeometrySpec("IoffePritchard", {"bar_length": 0.070, "coil_radius": 0.025,
+                                       "coil_current": 150.0}),
+], ids=["TwoPiece", "CompactFour", "IoffePritchard", "IoffePritchard_70mm"])
+def test_power_figures_add_left_to_right(spec):
+    # every Python version must give the same bits
+    report = mk.power_report(spec, mk.COPPER)
+    for c, budget in zip(mk.conductor_sections(spec), report.conductors):
+        resistance = mk.COPPER.resistivity * _left_to_right(
+            length / area for length, area in c.sections)
+        assert budget.length == _left_to_right(length for length, _ in c.sections)
+        assert budget.resistance == resistance
+        assert budget.power == c.current * c.current * resistance
+    assert report.total_power == _left_to_right(b.power for b in report.conductors)
 
 
 def test_power_report_json_shape():

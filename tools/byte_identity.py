@@ -10,8 +10,9 @@ in a fresh interpreter that writes no bytecode, and compares the exit code,
 standard output, standard error and every file written to `--out`:
 
 * `simulate` and `export` on each of the 4 bundled presets, and on the
-  geometries no preset holds: IoffePritchard at its defaults and an open and
-  a closed FreePath;
+  geometries no preset holds: IoffePritchard at its defaults and with a
+  10 mm zero search radius, an open and a closed FreePath round one square,
+  and a closed FreePath round two squares with opposite senses;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
@@ -38,12 +39,24 @@ OPTIMIZE_SEEDS = range(1, 9)
 OTHER_SEEDS = range(1, 3)
 # mm: a 20 mm square 5 mm above the centre
 SQUARE = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5]]
-# geometry sections of the variants no preset holds
-EXTRA_GEOMETRIES = {
-    "ioffe_pritchard": {"variant": "IoffePritchard"},
-    "free_path_open": {"variant": "FreePath", "parameters": {"points": SQUARE}},
-    "free_path_closed": {"variant": "FreePath",
-                         "parameters": {"points": SQUARE, "closed": True}},
+# the square, then down to z = -5 mm at its first corner and round the
+# square the other way there, closing back up that corner: a quadrupole
+# with its zero at the centre
+SQUARE_PAIR = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5],
+               [-10, -10, 5], [-10, -10, -5], [-10, 10, -5], [10, 10, -5],
+               [10, -10, -5], [-10, -10, -5]]
+# configs of the variants no preset holds
+EXTRA_CONFIGS = {
+    "ioffe_pritchard": {"geometry": {"variant": "IoffePritchard"}},
+    "ioffe_pritchard_r10": {"geometry": {"variant": "IoffePritchard"},
+                            "analysis": {"search_radius_mm": 10}},
+    "free_path_open": {"geometry": {"variant": "FreePath",
+                                    "parameters": {"points": SQUARE}}},
+    "free_path_closed": {"geometry": {
+        "variant": "FreePath", "parameters": {"points": SQUARE, "closed": True}}},
+    "free_path_pair": {"geometry": {
+        "variant": "FreePath",
+        "parameters": {"points": SQUARE_PAIR, "closed": True, "current": 5}}},
 }
 
 # Runs one CLI invocation with motkit imported from argv[1] and nowhere else.
@@ -65,10 +78,10 @@ def runs(config_dir: str):
         yield f"simulate-{preset}", ["simulate", "--config", preset]
         yield f"export-{preset}", ["export", "--config", preset]
     os.makedirs(config_dir)
-    for name, geometry in EXTRA_GEOMETRIES.items():
+    for name, doc in EXTRA_CONFIGS.items():
         config = os.path.join(config_dir, f"{name}.json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({"geometry": geometry}, fh)
+            json.dump(doc, fh)
         yield f"simulate-{name}", ["simulate", "--config", config]
         yield f"export-{name}", ["export", "--config", config]
     for name in workloads.NAMES:
