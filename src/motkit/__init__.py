@@ -9,9 +9,9 @@ from .errors import (ClearanceError, DegenerateFit, EmptySample,
 from .field import (EPS_SING, MU_0, FieldMap, field_at, field_many,
                     field_map_csv, sample_line, sample_plane)
 from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, Conductor,
-                       Discretization, GeometrySpec, Material, SegmentList,
-                       build, clearance_check, conductor_sections,
-                       make_free_path, make_loop)
+                       GeometrySpec, Material, SegmentList, build,
+                       clearance_check, conductor_sections, make_free_path,
+                       make_loop)
 from .optimize import (ObjectiveSpec, OptResult, evaluate_design,
                        objective_from_reports, objective_value,
                        optimize_geometry)

@@ -18,16 +18,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ClearanceError, InvalidGeometry, InvalidInput
 
-# upper bound on the worst-case segment count a discretization may ask for;
-# the presets need at most about 16,000
+# upper bound on the worst-case segment count of a build at a spec's
+# segments_per_turn; the presets need at most about 16,000
 MAX_SEGMENTS = 1_000_000
+# filaments per round bar (centre + hexagon) and per side of the n x n grid
+# over a rectangular section
+BUNDLE_FILAMENTS = 7
+ARM_GRID = 3
 # metres: upper bound on every length and point coordinate a config or a
 # GeometrySpec gives, far below the 1e77 m where the field kernel's products
 # of distances overflow
@@ -127,28 +131,6 @@ MATERIALS = {m.name: m for m in (COPPER, TITANIUM_LIKE)}
 # parametric specifications
 
 
-@dataclass(frozen=True)
-class Discretization:
-    segments_per_turn: int = 360
-    bundle_filaments: int = 7   # round bars: centre + hexagon
-    arm_grid: int = 3           # n x n filament grid for rectangular sections
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check(f"discretization {f.name}", COUNT, getattr(self, f.name))
-        if self.segments_per_turn < 8:
-            raise InvalidInput("segments_per_turn must be >= 8")
-        if self.bundle_filaments < 1 or self.arm_grid < 1:
-            raise InvalidInput("filament counts must be >= 1")
-        # a worst-case estimate, checked before any builder allocates: two
-        # circuits per bundle filament, each under 2 (segments_per_turn + 64)
-        # segments, plus a coil pair; the builders stay under 40 % of it
-        filaments = max(self.bundle_filaments, self.arm_grid ** 2)
-        if (4 * filaments + 2) * (self.segments_per_turn + 64) > MAX_SEGMENTS:
-            raise InvalidInput(f"discretization may need more than "
-                               f"{MAX_SEGMENTS} segments")
-
-
 # value kinds of config fields: lengths are millimetres in JSON and metres
 # inside, points are [x, y, z] lengths, numbers (currents, angles), flags,
 # counts and names pass unchanged
@@ -237,13 +219,24 @@ def _variant(name) -> "Variant":
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Parametric description of one trap family (SI units internally)."""
+    """Parametric description of one trap family (SI units internally),
+    built with `segments_per_turn` segments to each full turn of a curve."""
 
     variant: str
     parameters: dict = field(default_factory=dict)
-    discretization: Discretization = field(default_factory=Discretization)
+    segments_per_turn: int = 360
 
     def __post_init__(self):
+        _check("segments_per_turn", COUNT, self.segments_per_turn)
+        if self.segments_per_turn < 8:
+            raise InvalidInput("segments_per_turn must be >= 8")
+        # a worst-case estimate, checked before any builder allocates: two
+        # circuits per bundle filament, each under 2 (segments_per_turn + 64)
+        # segments, plus a coil pair; the builders stay under 40 % of it
+        filaments = max(BUNDLE_FILAMENTS, ARM_GRID ** 2)
+        if (4 * filaments + 2) * (self.segments_per_turn + 64) > MAX_SEGMENTS:
+            raise InvalidInput(f"segments_per_turn may need more than "
+                               f"{MAX_SEGMENTS} segments")
         known = _variant(self.variant).parameters
         merged = {key: default for key, (_, default) in known.items()}
         for key, value in self.parameters.items():
@@ -277,11 +270,11 @@ class GeometrySpec:
             raise InvalidInput("geometry must be a JSON object")
         variant = doc.get("variant")
         kinds = {key: kind for key, (kind, _) in _variant(variant).parameters.items()}
-        counts = {f.name: COUNT for f in fields(Discretization)}
         given = read_fields(doc, {"variant": NAME, "parameters": kinds,
-                                  "discretization": counts}, "geometry")
+                                  "discretization": {"segments_per_turn": COUNT}},
+                            "geometry")
         return cls(variant, given.get("parameters", {}),
-                   Discretization(**given.get("discretization", {})))
+                   **given.get("discretization", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +344,10 @@ def _hex_offsets(radius_xsec, n_filaments):
     return np.asarray(offs)
 
 
-def _grid_offsets(half_u, half_v, n):
-    """n x n filament offsets over a rectangular cross-section."""
-    if n <= 1:
-        return np.zeros((1, 2))
-    u = np.linspace(-half_u, half_u, n)
-    v = np.linspace(-half_v, half_v, n)
+def _grid_offsets(half_u, half_v):
+    """ARM_GRID x ARM_GRID filament offsets over a rectangular cross-section."""
+    u = np.linspace(-half_u, half_u, ARM_GRID)
+    v = np.linspace(-half_v, half_v, ARM_GRID)
     uu, vv = np.meshgrid(u, v, indexing="ij")
     return np.column_stack([uu.ravel(), vv.ravel()])
 
@@ -418,17 +409,17 @@ def _closed_circuit(blocks, current, segments_per_turn):
 # ---------------------------------------------------------------------------
 # trap assemblies
 #
-# Each builder takes (parameters, discretization), the parameters already
-# checked and completed by GeometrySpec, and is called through `build` only.
+# Each builder takes (parameters, segments_per_turn), both already checked
+# and the parameters completed by GeometrySpec, and is called through `build`
+# only.
 
 
-def _anti_helmholtz(p, discretization) -> SegmentList:
+def _anti_helmholtz(p, spt) -> SegmentList:
     """Coaxial loop pair at z = +-separation/2 with opposite currents."""
     z = p["separation"] / 2.0
-    n = discretization.segments_per_turn
     return _assemble([
-        _loop((0, 0, +z), p["radius"], +p["current"], n, "coil_top"),
-        _loop((0, 0, -z), p["radius"], -p["current"], n, "coil_bottom")])
+        _loop((0, 0, +z), p["radius"], +p["current"], spt, "coil_top"),
+        _loop((0, 0, -z), p["radius"], -p["current"], spt, "coil_bottom")])
 
 
 # The cylinder-style builders below assemble their conductors about a local
@@ -441,7 +432,7 @@ _CYL_TO_LAB = np.array([[0.0, 1.0, 0.0],
                         [1.0, 0.0, 0.0]])
 
 
-def _twisted_cage(p, discretization) -> SegmentList:
+def _twisted_cage(p, spt, _filaments=BUNDLE_FILAMENTS) -> SegmentList:
     """Four-bar cage with bars twisting about the z-axis.
 
     Bar centrelines follow r(t) = (R cos(theta0 + phi(z)), R sin(...), z) with
@@ -457,13 +448,15 @@ def _twisted_cage(p, discretization) -> SegmentList:
     collision check below (about 0.56 rad at the default dimensions).
     Adjacent bar pairs close into series circuits through end arcs standing
     in for the physical end contacts, keeping every filament loop closed.
+    Each bar is a bundle of `_filaments` filaments; the power model measures
+    a single-filament cage.
     """
     height, bar_diameter, twist_angle = p["height"], p["bar_diameter"], p["twist_angle"]
     r_bar = bar_diameter / 2.0
     r0 = p["outer_width"] / 2.0 - r_bar
     if r0 <= 0:
         raise InvalidGeometry("bar diameter exceeds cage width")
-    n_pts = max(33, discretization.segments_per_turn // 4 + 1)
+    n_pts = max(33, spt // 4 + 1)
     t = np.linspace(-0.5, 0.5, n_pts)
     z = t * height
     centrelines = []
@@ -481,7 +474,7 @@ def _twisted_cage(p, discretization) -> SegmentList:
         e1 /= np.linalg.norm(e1, axis=1)[:, None]
         e2 = np.cross(tang, e1)
         filaments.append([centre + du * e1 + dv * e2
-                          for du, dv in _hex_offsets(r_bar, discretization.bundle_filaments)])
+                          for du, dv in _hex_offsets(r_bar, _filaments)])
     # bar paths must not touch
     for i in range(4):
         for j in range(i + 1, 4):
@@ -490,12 +483,11 @@ def _twisted_cage(p, discretization) -> SegmentList:
                 raise InvalidGeometry(f"bars {i} and {j} intersect")
     # each up-bar pairs with the next down-bar into one closed circuit, the
     # joining end arcs standing in for the physical end-ring contacts
-    share = p["current"] / discretization.bundle_filaments
-    spt = discretization.segments_per_turn
+    share = p["current"] / _filaments
     circuits = []
     for k_up in (0, 2):
         k_dn = k_up + 1
-        for j in range(discretization.bundle_filaments):
+        for j in range(_filaments):
             circuits.append(_closed_circuit(
                 [(filaments[k_up][j], f"bar{k_up}"),
                  (filaments[k_dn][j][::-1], f"bar{k_dn}")], share, spt))
@@ -504,7 +496,7 @@ def _twisted_cage(p, discretization) -> SegmentList:
     return _assemble(circuits, rot45)
 
 
-def _compact_four(p, discretization) -> SegmentList:
+def _compact_four(p, spt) -> SegmentList:
     """Four-piece trap: one straight prong plus one ring arc per piece.
 
     Prongs sit on the diagonals between the beam holes and span just the
@@ -524,7 +516,6 @@ def _compact_four(p, discretization) -> SegmentList:
     r_out = p["width"] / 2.0
     r_hole = p["hole_diameter"] / 2.0
     margin = 0.2e-3
-    grid_n = discretization.arm_grid
     i_cond = p["current_per_conductor"]
 
     # prong band: wedged between the two horizontal beam cylinders
@@ -549,16 +540,14 @@ def _compact_four(p, discretization) -> SegmentList:
     r_arc_out = r_out - margin
     arc_r = (r_arc_out - 0.35 * (r_arc_out - (r_hole + margin)), r_arc_out)
     z_top = z_lo + 0.1 * (z_hi - z_lo)
-    n_arc = max(16, int(round(discretization.segments_per_turn / 4.0)))
+    n_arc = max(16, int(round(spt / 4.0)))
     gamma = (gap / 2.0 + half_t) / r_prong  # angular stand-off at the contacts
 
-    offs_arc = _grid_offsets(0.5 * (arc_r[1] - arc_r[0]),
-                             0.5 * (z_top - z_lo), grid_n)
-    offs_prong = _grid_offsets(half_r, half_t, grid_n)
+    offs_arc = _grid_offsets(0.5 * (arc_r[1] - arc_r[0]), 0.5 * (z_top - z_lo))
+    offs_prong = _grid_offsets(half_r, half_t)
     nf = offs_arc.shape[0]
     r_arc_mid = 0.5 * (arc_r[0] + arc_r[1])
     z_arc_mid = 0.5 * (z_lo + z_top)
-    spt = discretization.segments_per_turn
 
     # the pieces chain into two closed series loops: top arc of an up piece,
     # down its prong, around the preceding piece's bottom arc and back up
@@ -588,7 +577,7 @@ def _compact_four(p, discretization) -> SegmentList:
     return _assemble(circuits, _CYL_TO_LAB)
 
 
-def _two_piece(p, discretization) -> SegmentList:
+def _two_piece(p, spt) -> SegmentList:
     """Two nesting conductors: two straight arms joined by a ~270 deg ring arc.
 
     Piece A: current enters the top of one arm, runs down to the bottom ring,
@@ -606,7 +595,6 @@ def _two_piece(p, discretization) -> SegmentList:
     r_out = p["outer_diameter"] / 2.0
     r_hole = p["hole_diameter"] / 2.0
     margin = 0.2e-3
-    grid_n = discretization.arm_grid
     i_cond = p["current_per_conductor"]
 
     half_t = p["arm_width"] / 2.0 * 0.4   # filament spread, not the solid width
@@ -622,17 +610,15 @@ def _two_piece(p, discretization) -> SegmentList:
         raise ClearanceError("trap too short for ring sections above the beam holes")
     ring_r = (r_hole + margin, r_out - margin)
     z_ring = 0.5 * (z_lo + z_hi)
-    n_arc = max(32, int(round(discretization.segments_per_turn * 0.75)))
+    n_arc = max(32, int(round(spt * 0.75)))
     r_ring_mid = 0.5 * (ring_r[0] + ring_r[1])
     gamma = (gap / 2.0 + half_t) / r_ring_mid
     z_far = 0.25   # feed leads rejoin well above the trap
 
     p45, p135 = math.pi / 4.0, 3 * math.pi / 4.0
-    offs_arm = _grid_offsets(half_r, half_t, grid_n)
-    offs_ring = _grid_offsets(0.5 * (ring_r[1] - ring_r[0]),
-                              0.5 * (z_hi - z_lo), grid_n)
+    offs_arm = _grid_offsets(half_r, half_t)
+    offs_ring = _grid_offsets(0.5 * (ring_r[1] - ring_r[0]), 0.5 * (z_hi - z_lo))
     nf = offs_arm.shape[0]
-    spt = discretization.segments_per_turn
 
     # piece A: down the 45 deg arm, 270 deg clockwise around the bottom ring
     # (via 315/225 deg), up the 135 deg arm; the circuit closes through
@@ -659,12 +645,11 @@ def _two_piece(p, discretization) -> SegmentList:
     return _assemble(piece_a + piece_b, _CYL_TO_LAB)
 
 
-def _ioffe_pritchard(p, discretization) -> SegmentList:
+def _ioffe_pritchard(p, spt) -> SegmentList:
     """Classic Ioffe-Pritchard trap: four alternating bars plus a coil pair
     carrying parallel currents."""
     bar_length, bar_radius = p["bar_length"], p["bar_radius"]
     circuits = []
-    spt = discretization.segments_per_turn
     for k_up in (0, 2):
         phi_u = math.pi / 4.0 + k_up * math.pi / 2.0
         phi_d = phi_u + math.pi / 2.0
@@ -747,7 +732,7 @@ def _ioffe_pritchard_sections(p):
 def _twisted_cage_sections(p):
     area = math.pi * (p["bar_diameter"] / 2.0) ** 2
     # arc length of the twisted centreline
-    segs = _twisted_cage(p, Discretization(64, 1, 1))
+    segs = _twisted_cage(p, 64, _filaments=1)
     return [Conductor(f"bar{k}", p["current"],
                       ((float(segs.group(f"bar{k}").lengths.sum()), area),))
             for k in range(4)]
@@ -790,7 +775,7 @@ def _free_path_sections(p):
 @dataclass(frozen=True)
 class Variant:
     """One trap family: its parameters as name -> (kind, SI default), its
-    builder (parameters, discretization) -> SegmentList, its solid conductors
+    builder (parameters, segments_per_turn) -> SegmentList, its solid conductors
     (parameters) -> [Conductor], one per group, and its terminals
     (parameters) -> points where current may enter or leave the filaments."""
 
@@ -833,7 +818,7 @@ REGISTRY = {
     # an open path is fed at its two ends
     "FreePath": Variant(
         {"points": (POINTS, ()), "current": (NUMBER, 1.0), "closed": (FLAG, False)},
-        lambda p, d: make_free_path(**p),
+        lambda p, spt: make_free_path(**p),
         _free_path_sections,
         lambda p: () if p["closed"] else (p["points"][0], p["points"][-1])),
 }
@@ -847,7 +832,7 @@ def build(spec: GeometrySpec) -> SegmentList:
     closed circuits.
     """
     variant = REGISTRY[spec.variant]
-    segments = variant.build(spec.parameters, spec.discretization)
+    segments = variant.build(spec.parameters, spec.segments_per_turn)
     bad = segments.unbalanced_vertices(variant.terminals(spec.parameters))
     if len(bad):
         raise InvalidGeometry(

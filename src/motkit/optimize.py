@@ -45,8 +45,9 @@ class ObjectiveSpec:
             raise InvalidInput("power cap must be positive and finite")
         if not (math.isfinite(self.beam_diameter) and self.beam_diameter > 0):
             raise InvalidInput("beam diameter must be positive and finite")
-        if not all(w >= 0 for w in (self.w_mag, self.w_ratio, self.w_power)):
-            raise InvalidInput("weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.w_mag, self.w_ratio, self.w_power)):
+            raise InvalidInput("weights must be non-negative and finite")
         if max(self.w_mag, self.w_ratio, self.w_power) == 0:
             raise InvalidInput("at least one weight must be positive")
         for name, (lo, hi) in self.bounds.items():
@@ -223,10 +224,11 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
     except _BudgetSpent:
         pass
 
-    # best point seen anywhere in the trace
+    # best point seen anywhere in the trace; f0 is finite, and a sorted
+    # simplex keeps its best vertex, so some vertex is finite
     finite = [(v, x) for x, v in zip(simplex, values) if math.isfinite(v)]
-    best_x = min(finite, key=lambda t: t[0])[1] if finite else x0
-    best_v = min(values) if finite else f0
+    best_x = min(finite, key=lambda t: t[0])[1]
+    best_v = min(values)
     best_spec = initial.replace_parameters(**dict(zip(names, best_x.tolist())))
     try:
         greport, preport = evaluate_design(best_spec, obj, material)

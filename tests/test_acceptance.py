@@ -146,8 +146,7 @@ def test_criterion_09_power_order():
 
 
 def test_criterion_10_optimizer_oracle():
-    spec = mk.GeometrySpec("AntiHelmholtz", {},
-                           mk.Discretization(segments_per_turn=24))
+    spec = mk.GeometrySpec("AntiHelmholtz", {}, segments_per_turn=24)
     obj = mk.ObjectiveSpec(target_gradient=50.0, w_mag=1.0, w_ratio=0.0,
                            w_power=0.0, bounds={"separation": (0.02, 0.1)},
                            search_radius=2e-3, fit_window=1e-3)

@@ -37,7 +37,7 @@ def test_find_zero_of_offset_quadrupole():
 def test_find_zero_on_anti_helmholtz():
     segs = mk.build(mk.GeometrySpec(
         "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
-        mk.Discretization(120)))
+        segments_per_turn=120))
     zero = mk.find_field_zero(segs)
     assert np.linalg.norm(zero) < 1e-9
 
@@ -143,7 +143,7 @@ def test_jacobian_recovers_linear_matrix():
 def test_jacobian_of_anti_helmholtz_is_traceless_and_symmetric():
     segs = mk.build(mk.GeometrySpec(
         "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
-        mk.Discretization(120)))
+        segments_per_turn=120))
     j = mk.jacobian_at(segs, np.array([0.5e-3, -0.3e-3, 0.8e-3]), 5e-6)
     scale = np.linalg.norm(j)
     assert abs(np.trace(j)) < 1e-6 * scale

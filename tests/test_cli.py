@@ -332,6 +332,9 @@ def test_clearance_error_while_building_is_exit_3(tmp_path):
     {"variant": "AntiHelmholtz", "parameters": {"radius": 1e200}},
     {"variant": "FreePath",
      "parameters": {"points": [[0, 0, 0], [1e300, 0, 0], [10, 10, 0]]}},
+    # the filament counts are fixed, not settable
+    {"variant": "TwistedCage", "discretization": {"bundle_filaments": 2}},
+    {"variant": "TwoPiece", "discretization": {"arm_grid": 2}},
 ])
 def test_malformed_geometry_is_exit_2(tmp_path, geometry):
     cfg = write_config(tmp_path, {"geometry": geometry})
@@ -351,9 +354,7 @@ _points = st.lists(st.one_of(st.lists(_numbers, min_size=3, max_size=3),
 # counts stay small so that no example builds more than a few thousand segments
 _discretization = st.fixed_dictionaries(
     {"segments_per_turn": st.one_of(st.integers(0, 40), _junk)},
-    optional={"bundle_filaments": st.one_of(st.integers(0, 4), _junk),
-              "arm_grid": st.one_of(st.integers(0, 3), _junk),
-              "bogus": _junk})
+    optional={"bogus": _junk})
 
 
 def _plausible(variant):
@@ -364,9 +365,7 @@ def _plausible(variant):
     return st.fixed_dictionaries(
         {"variant": st.just(variant),
          "discretization": st.fixed_dictionaries({
-             "segments_per_turn": st.integers(8, 40),
-             "bundle_filaments": st.integers(1, 4),
-             "arm_grid": st.integers(1, 3)}),
+             "segments_per_turn": st.integers(8, 40)}),
          "parameters": st.fixed_dictionaries({}, optional={
              name: values[kind]
              for name, (kind, _) in _REGISTRY[variant].parameters.items()})})

@@ -89,7 +89,7 @@ def test_opposite_currents_cancel_exactly():
 def test_sample_line_positions_and_shape():
     segs = mk.build(mk.GeometrySpec(
         "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
-        mk.Discretization(60)))
+        segments_per_turn=60))
     fmap = mk.sample_line(segs, (0, 0, 0), (0, 0, 2.0), 0.004, 9)
     assert fmap.positions.shape == (9, 3)
     assert fmap.positions[0] == pytest.approx([0, 0, -0.004])
@@ -206,7 +206,7 @@ def kernel_points(segments, n, rng):
 def test_field_many_is_bitwise_independent_of_chunks(monkeypatch):
     segs = mk.build(mk.GeometrySpec(
         "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
-        mk.Discretization(90)))
+        segments_per_turn=90))
     points = kernel_points(segs, 200, np.random.default_rng(3))
     reference = mk.field_many(segs, points)
     assert np.isnan(reference[:, 0]).sum() >= 2
@@ -304,7 +304,7 @@ OFF_PRESET = {
         export_obj(mk.build(mk.GeometrySpec(
             "AntiHelmholtz",
             {"radius": 0.03, "separation": 0.03, "current": 50.0},
-            mk.Discretization(24)))),
+            segments_per_turn=24))),
         currents={"coil_top": 50.0, "coil_bottom": -50.0}),
 }
 

@@ -157,7 +157,7 @@ def test_spec_caps_lengths_from_the_python_api():
     # and so for their scaled and re-parametrized copies
     for make in (lambda: mk.GeometrySpec("AntiHelmholtz",
                                          {"radius": 1e80, "separation": 1e80},
-                                         mk.Discretization(24)),
+                                         segments_per_turn=24),
                  lambda: mk.GeometrySpec("AntiHelmholtz").scaled(1e6),
                  lambda: mk.GeometrySpec("AntiHelmholtz").replace_parameters(
                      radius=2 * geometry.MAX_LENGTH),
@@ -251,23 +251,23 @@ def test_conductor_sections_positive():
 
 def test_discretization_validation():
     with pytest.raises(InvalidInput):
-        mk.Discretization(segments_per_turn=4)
+        mk.GeometrySpec("AntiHelmholtz", segments_per_turn=4)
     # rejected from the worst-case segment count, before any allocation
-    with pytest.raises(InvalidInput, match="segments"):
-        mk.Discretization(segments_per_turn=100_000_000)
-    with pytest.raises(InvalidInput, match="segments"):
-        mk.Discretization(arm_grid=100_000)
-    for counts in ({"segments_per_turn": 24.9}, {"bundle_filaments": 7.0},
-                   {"arm_grid": True}):
+    for spt in (26_252, 100_000_000):
+        with pytest.raises(InvalidInput, match="more than 1000000 segments"):
+            mk.GeometrySpec("AntiHelmholtz", segments_per_turn=spt)
+    assert mk.GeometrySpec("AntiHelmholtz",
+                           segments_per_turn=26_251).segments_per_turn == 26_251
+    for spt in (24.9, True):
         with pytest.raises(InvalidInput, match="integer"):
-            mk.Discretization(**counts)
+            mk.GeometrySpec("AntiHelmholtz", segments_per_turn=spt)
 
 
 def test_anti_helmholtz_on_axis_gradient_matches_analytic():
     r, sep, current = 0.05, 0.05, 100.0
     segs = mk.build(mk.GeometrySpec(
         "AntiHelmholtz", {"radius": r, "separation": sep, "current": current},
-        mk.Discretization(720)))
+        segments_per_turn=720))
     d = sep / 2.0
     # each loop contributes (3/2) mu0 I r^2 d / (r^2+d^2)^(5/2); the pair doubles it
     expected = 3.0 * mk.MU_0 * current * r * r * d / (r * r + d * d) ** 2.5

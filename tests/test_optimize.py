@@ -7,7 +7,7 @@ import pytest
 import motkit as mk
 from motkit.errors import InfeasibleStart, InvalidInput
 
-FAST = mk.Discretization(segments_per_turn=24)
+FAST = 24  # segments per turn
 
 
 def coil_objective(**overrides):
@@ -69,8 +69,10 @@ def test_infeasible_start_raises():
 
 
 def test_objective_validation():
-    with pytest.raises(InvalidInput):
-        mk.ObjectiveSpec(w_mag=-1.0)
+    for weight in ("w_mag", "w_ratio", "w_power"):
+        for bad in (-1.0, math.inf):
+            with pytest.raises(InvalidInput):
+                mk.ObjectiveSpec(**{weight: bad})
     with pytest.raises(InvalidInput):
         mk.ObjectiveSpec(w_mag=0.0, w_ratio=0.0, w_power=0.0)
     with pytest.raises(InvalidInput):

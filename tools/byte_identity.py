@@ -13,6 +13,8 @@ standard output, standard error and every file written to `--out`:
   geometries no preset holds: IoffePritchard at its defaults and with a
   10 mm zero search radius, an open and a closed FreePath round one square,
   and a closed FreePath round two squares with opposite senses;
+* `simulate` and `export` of TwistedCage, CompactFour and TwoPiece at 24
+  segments per turn, so that each builder runs at a second resolution;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
@@ -57,6 +59,11 @@ EXTRA_CONFIGS = {
     "free_path_pair": {"geometry": {
         "variant": "FreePath",
         "parameters": {"points": SQUARE_PAIR, "closed": True, "current": 5}}},
+    **{f"{name}_spt24": {"geometry": {
+        "variant": variant, "discretization": {"segments_per_turn": 24}}}
+       for name, variant in (("twisted_cage", "TwistedCage"),
+                             ("compact_four", "CompactFour"),
+                             ("two_piece", "TwoPiece"))},
 }
 
 # Runs one CLI invocation with motkit imported from argv[1] and nowhere else.
