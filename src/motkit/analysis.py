@@ -206,30 +206,14 @@ def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:
     return _central_jacobian(_regular(f(_stencil(p, h)), "Jacobian stencil"), h)
 
 
-def _fit_line(x, y):
-    """Least-squares slope with its standard error and residuals."""
-    n = x.size
-    if n < 3 or np.ptp(x) == 0.0:
-        raise DegenerateFit("not enough distinct abscissae for a slope fit")
-    xm = x - x.mean()
-    sxx = float(xm @ xm)
-    if sxx == 0.0:
-        raise DegenerateFit("degenerate abscissae")
-    slope = float(xm @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    var = float(resid @ resid) / (n - 2)
-    sigma = math.sqrt(max(var, 0.0) / sxx)
-    return slope, sigma, resid
-
-
 def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
                   n: int = DEFAULT_SAMPLES) -> GradientReport:
     """Per-axis linear fit of the signed on-axis component over +-window.
 
     The signed component (B_x along x, ...) is fitted rather than |B|, which
     is non-differentiable at the zero; slope magnitudes agree on each
-    half-axis.
+    half-axis.  The three axes are one least-squares problem over their
+    shared abscissae.
     """
     if not (window > 0):
         raise InvalidInput("fit window must be positive")
@@ -241,24 +225,27 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     # rows axis * n + i hold zero + s[i] * e_axis
     B = _regular(f((zero + s[None, :, None] * np.eye(3)[:, None, :])
                    .reshape(-1, 3)), "gradient-fit sample").reshape(3, n, 3)
-    g = np.empty(3)
-    sigma = np.empty(3)
-    residuals = []
-    for axis in range(3):
-        slope, err, resid = _fit_line(s, B[axis, :, axis])
-        g[axis] = slope * GCM_PER_TPM
-        sigma[axis] = err * GCM_PER_TPM
-        residuals.append(resid)
+    y = B[(0, 1, 2), :, (0, 1, 2)]     # (3, n): B_x along x, B_y along y, ...
+    xm = s - s.mean()
+    sxx = float(xm @ xm)
+    if sxx == 0.0:
+        raise DegenerateFit("degenerate abscissae")
+    ym = y.mean(axis=1)
+    # (3, 1, n) @ (n,) is one BLAS dot per row, as a 1-D fit of each axis
+    # takes, so the three fits round as three separate ones would
+    slope = ((y - ym[:, None])[:, None, :] @ xm)[:, 0] / sxx
+    resid = y - (slope[:, None] * s + (ym - slope * s.mean())[:, None])
+    var = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / (n - 2)
+    g = slope * GCM_PER_TPM
     if g[0] == 0.0:
         raise DegenerateFit("x-gradient is zero; ratio undefined")
-    resid_all = np.concatenate(residuals)
     return GradientReport(
         zero_position=zero,
         g=g,
-        sigma_g=sigma,
+        sigma_g=np.sqrt(var / sxx) * GCM_PER_TPM,
         ratio=g / g[0],
         linear_window=window,
-        residual_rms=float(np.sqrt(np.mean(resid_all ** 2))) * GAUSS_PER_TESLA,
+        residual_rms=float(np.sqrt(np.mean(resid ** 2))) * GAUSS_PER_TESLA,
     )
 
 

@@ -297,23 +297,26 @@ def _assemble(circuits, matrix=None) -> SegmentList:
     return SegmentList(starts, ends, currents, group_ids)
 
 
-def _loop(center, radius, current, n_segments, group_id):
+def _loop(centers, radius, currents, n_segments, group_ids):
+    """One regular n-gon circuit coaxial with z about each of `centers`, with
+    its own current and group; a coil pair is one call."""
     if radius <= 0:
         raise InvalidGeometry("loop radius must be positive")
     if n_segments < 3:
         raise InvalidGeometry("need at least 3 segments for a loop")
     theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
-    pts = np.asarray(center, dtype=float) + radius * np.column_stack(
+    starts = np.asarray(centers, dtype=float)[:, None, :] + radius * np.column_stack(
         [np.sin(theta), -np.cos(theta), np.zeros(n_segments)])
-    pts = np.vstack([pts, pts[:1]])
-    return pts[:-1], pts[1:], current, [group_id] * n_segments
+    ends = np.concatenate([starts[:, 1:], starts[:, :1]], axis=1)
+    return [(s, e, i, [g] * n_segments)
+            for s, e, i, g in zip(starts, ends, currents, group_ids)]
 
 
 def make_loop(center, radius, current, n_segments) -> SegmentList:
     """Regular n-gon inscribed in a circle about `center`, coaxial with z,
     in group "loop"; a positive current circulates counter-clockwise seen
     from +z.  A reversed loop is a negated current."""
-    return _assemble([_loop(center, radius, current, n_segments, "loop")])
+    return _assemble(_loop([center], radius, [current], n_segments, ["loop"]))
 
 
 def make_free_path(points, current, closed=False) -> SegmentList:
@@ -414,12 +417,15 @@ def _closed_circuit(blocks, current, segments_per_turn):
 # only.
 
 
+# groups of a coil pair's loops at +z and -z
+_COIL_PAIR = ("coil_top", "coil_bottom")
+
+
 def _anti_helmholtz(p, spt) -> SegmentList:
     """Coaxial loop pair at z = +-separation/2 with opposite currents."""
     z = p["separation"] / 2.0
-    return _assemble([
-        _loop((0, 0, +z), p["radius"], +p["current"], spt, "coil_top"),
-        _loop((0, 0, -z), p["radius"], -p["current"], spt, "coil_bottom")])
+    return _assemble(_loop([(0, 0, z), (0, 0, -z)], p["radius"],
+                           [p["current"], -p["current"]], spt, _COIL_PAIR))
 
 
 # The cylinder-style builders below assemble their conductors about a local
@@ -662,9 +668,8 @@ def _ioffe_pritchard(p, spt) -> SegmentList:
         circuits.append(_closed_circuit([(bar_u, f"bar{k_up}"),
                                          (bar_d, f"bar{k_up + 1}")], p["bar_current"], spt))
     z = p["coil_separation"] / 2.0
-    circuits += [
-        _loop((0, 0, +z), p["coil_radius"], p["coil_current"], spt, "coil_top"),
-        _loop((0, 0, -z), p["coil_radius"], p["coil_current"], spt, "coil_bottom")]
+    circuits += _loop([(0, 0, z), (0, 0, -z)], p["coil_radius"],
+                      [p["coil_current"]] * 2, spt, _COIL_PAIR)
     return _assemble(circuits)
 
 
@@ -672,20 +677,8 @@ def _ioffe_pritchard(p, spt) -> SegmentList:
 # laser clearance
 
 
-def _segment_line_distance(starts, ends, d):
-    """Exact distance from each segment to the line through the origin along
-    the unit vector d."""
-    line = ends - starts
-    # across the axis a segment runs u + t w for t in [0, 1]; its closest
-    # approach is at t = -(u.w) / |w|^2, or anywhere when w = 0
-    u = starts - (starts @ d)[:, None] * d
-    w = line - (line @ d)[:, None] * d
-    ww = np.einsum("ij,ij->i", w, w)
-    t = np.divide(-np.einsum("ij,ij->i", u, w), ww, out=np.zeros_like(ww),
-                  where=ww > 0.0)
-    pts = starts + np.clip(t, 0.0, 1.0)[:, None] * line
-    perp = pts - (pts @ d)[:, None] * d
-    return np.linalg.norm(perp, axis=1)
+# the two cross-axis columns of the x, y and z beams
+_BEAM_CROSS = ((1, 2), (0, 2), (0, 1))
 
 
 def clearance_check(segments: SegmentList, beam_diameter: float):
@@ -697,10 +690,17 @@ def clearance_check(segments: SegmentList, beam_diameter: float):
     """
     if not (beam_diameter > 0):
         raise InvalidInput("beam diameter must be positive")
-    min_clear = math.inf
-    for axis in np.eye(3):
-        dist = _segment_line_distance(segments.starts, segments.ends, axis)
-        min_clear = min(min_clear, float(dist.min()) - beam_diameter / 2.0)
+    # across beam j a segment runs u + t w for t in [0, 1], with u and w its
+    # start and direction in beam j's cross-axis columns; its closest
+    # approach is at t = -(u.w) / |w|^2, or anywhere when w = 0
+    u = segments.starts[:, _BEAM_CROSS]
+    w = (segments.ends - segments.starts)[:, _BEAM_CROSS]
+    ww = w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1]
+    t = np.divide(-(u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1]), ww,
+                  out=np.zeros_like(ww), where=ww > 0.0)
+    perp = u + np.clip(t, 0.0, 1.0)[..., None] * w
+    dist = np.sqrt(perp[..., 0] * perp[..., 0] + perp[..., 1] * perp[..., 1])
+    min_clear = float(dist.min()) - beam_diameter / 2.0
     return (min_clear >= 0.0), min_clear
 
 
@@ -717,7 +717,7 @@ class Conductor:
 
 def _anti_helmholtz_sections(p):
     coil = ((2.0 * math.pi * p["radius"], math.pi * (p["wire_diameter"] / 2.0) ** 2),)
-    return [Conductor(g, p["current"], coil) for g in ("coil_top", "coil_bottom")]
+    return [Conductor(g, p["current"], coil) for g in _COIL_PAIR]
 
 
 def _ioffe_pritchard_sections(p):
@@ -726,7 +726,7 @@ def _ioffe_pritchard_sections(p):
     return ([Conductor(f"bar{k}", p["bar_current"], ((p["bar_length"], area),))
              for k in range(4)]
             + [Conductor(g, p["coil_current"], coil)
-               for g in ("coil_top", "coil_bottom")])
+               for g in _COIL_PAIR])
 
 
 def _twisted_cage_sections(p):

@@ -1,4 +1,5 @@
 """Zero finding, gradient fitting, and suitability verdicts."""
+import math
 import random
 
 import numpy as np
@@ -148,6 +149,58 @@ def test_jacobian_of_anti_helmholtz_is_traceless_and_symmetric():
     scale = np.linalg.norm(j)
     assert abs(np.trace(j)) < 1e-6 * scale
     assert np.max(np.abs(j - j.T)) < 1e-6 * scale
+
+
+def _fit_line(x, y):
+    """Reference: the one-axis least-squares slope that `fit_gradients` took
+    once per axis, with its standard error and residuals."""
+    n = x.size
+    if n < 3 or np.ptp(x) == 0.0:
+        raise DegenerateFit("not enough distinct abscissae for a slope fit")
+    xm = x - x.mean()
+    sxx = float(xm @ xm)
+    if sxx == 0.0:
+        raise DegenerateFit("degenerate abscissae")
+    slope = float(xm @ (y - y.mean())) / sxx
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (slope * x + intercept)
+    var = float(resid @ resid) / (n - 2)
+    sigma = math.sqrt(max(var, 0.0) / sxx)
+    return slope, sigma, resid
+
+
+def _per_axis_fit(source, zero, window, n):
+    """(g, sigma_g, ratio, residual_rms) from `_fit_line` on each axis of the
+    samples `fit_gradients` takes."""
+    s = np.linspace(-window, window, n)
+    B = analysis.as_field(source)((zero + s[None, :, None] * np.eye(3)[:, None, :])
+                                  .reshape(-1, 3)).reshape(3, n, 3)
+    fits = [_fit_line(s, B[axis, :, axis]) for axis in range(3)]
+    g = np.array([f[0] for f in fits]) * analysis.GCM_PER_TPM
+    sigma = np.array([f[1] for f in fits]) * analysis.GCM_PER_TPM
+    resid = np.concatenate([f[2] for f in fits])
+    rms = float(np.sqrt(np.mean(resid ** 2))) * analysis.GAUSS_PER_TESLA
+    return g, sigma, g / g[0], rms
+
+
+def test_fit_gradients_is_bitwise_the_per_axis_fit():
+    def curved(p):
+        p = np.asarray(p, dtype=float)
+        return QUADRUPOLE @ p + 40.0 * p ** 3 + 3e-3 * np.sin(900.0 * p[::-1])
+
+    sources = [(curved, np.array([1e-4, -2e-4, 5e-5]))]
+    for name in ("anti_helmholtz", "compact_four", "twisted_cage", "two_piece"):
+        segs = mk.build(cli.load_config(name)["geometry"])
+        sources.append((segs, mk.find_field_zero(segs)))
+    fits = 0
+    for source, zero in sources:
+        for window, n in ((2e-3, 41), (1e-3, 5), (0.5e-3, 7), (3e-3, 101)):
+            rep = mk.fit_gradients(source, zero, window=window, n=n)
+            ref = _per_axis_fit(source, zero, window, n)
+            for got, want in zip((rep.g, rep.sigma_g, rep.ratio, rep.residual_rms), ref):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            fits += 1
+    assert fits == 5 * 4
 
 
 def test_fit_window_validation():

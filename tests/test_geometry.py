@@ -1,5 +1,6 @@
 """Geometry generators, spec round-trips, and clearance checks."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,96 @@ def test_clearance_requires_positive_beam():
     segs = mk.build(mk.GeometrySpec("TwoPiece"))
     with pytest.raises(InvalidInput):
         mk.clearance_check(segs, 0.0)
+
+
+def _segment_line_distance(starts, ends, d):
+    """Reference: the per-axis distance from each segment to the line through
+    the origin along the unit vector d, as `clearance_check` took it one beam
+    at a time."""
+    line = ends - starts
+    u = starts - (starts @ d)[:, None] * d
+    w = line - (line @ d)[:, None] * d
+    ww = np.einsum("ij,ij->i", w, w)
+    t = np.divide(-np.einsum("ij,ij->i", u, w), ww, out=np.zeros_like(ww),
+                  where=ww > 0.0)
+    pts = starts + np.clip(t, 0.0, 1.0)[:, None] * line
+    perp = pts - (pts @ d)[:, None] * d
+    return np.linalg.norm(perp, axis=1)
+
+
+def _per_axis_clearance(segs, beam_diameter):
+    min_clear = math.inf
+    for axis in np.eye(3):
+        dist = _segment_line_distance(segs.starts, segs.ends, axis)
+        min_clear = min(min_clear, float(dist.min()) - beam_diameter / 2.0)
+    return (min_clear >= 0.0), min_clear
+
+
+def _clearance_geometries():
+    """The 4 presets at 24 and 360 segments per turn, then 200 seeded free
+    paths; every other one steps along one axis at a time (w = 0 across that
+    beam) and sets coordinates to exactly 0."""
+    for name in ("anti_helmholtz", "twisted_cage", "compact_four", "two_piece"):
+        spec = cli.load_config(name)["geometry"]
+        for spt in (24, 360):
+            yield mk.build(replace(spec, segments_per_turn=spt))
+    rng = np.random.default_rng(15)
+    for k in range(200):
+        n = int(rng.integers(2, 30))
+        if k % 2 == 0:
+            pts = rng.normal(scale=0.02, size=(n, 3))
+        else:
+            pts = [np.where(rng.random(3) < 0.3, 0.0, rng.normal(scale=0.02, size=3))]
+            for _ in range(n - 1):
+                q, axis = pts[-1].copy(), rng.integers(3)
+                zeroed = q[axis] != 0.0 and rng.random() < 0.3
+                q[axis] = 0.0 if zeroed else q[axis] + rng.normal(scale=0.01)
+                pts.append(q)
+        yield mk.make_free_path(pts, 1.0)
+
+
+def test_clearance_one_pass_is_bitwise_the_per_axis_check():
+    cases = 0
+    for segs in _clearance_geometries():
+        for beam in (1e-3, 15e-3, 30e-3):
+            ok, clearance = mk.clearance_check(segs, beam)
+            ref_ok, ref_clearance = _per_axis_clearance(segs, beam)
+            assert ok == ref_ok
+            assert (np.float64(clearance).tobytes()
+                    == np.float64(ref_clearance).tobytes())
+            cases += 1
+    assert cases == 3 * (8 + 200)
+
+
+def _one_loop(center, radius, current, n_segments, group_id):
+    """Reference: one z-coaxial n-gon, as each loop of a coil pair was built
+    on its own."""
+    theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
+    pts = np.asarray(center, dtype=float) + radius * np.column_stack(
+        [np.sin(theta), -np.cos(theta), np.zeros(n_segments)])
+    pts = np.vstack([pts, pts[:1]])
+    return pts[:-1], pts[1:], current, [group_id] * n_segments
+
+
+@pytest.mark.parametrize("spt", [8, 13, 24, 360, 721])
+@pytest.mark.parametrize("variant", ["AntiHelmholtz", "IoffePritchard"])
+def test_coil_pairs_are_bitwise_two_loops(variant, spt):
+    spec = mk.GeometrySpec(variant, segments_per_turn=spt)
+    p = spec.parameters
+    if variant == "AntiHelmholtz":
+        z, radius = p["separation"] / 2.0, p["radius"]
+        currents = (p["current"], -p["current"])
+    else:
+        z, radius = p["coil_separation"] / 2.0, p["coil_radius"]
+        currents = (p["coil_current"],) * 2
+    loops = [_one_loop((0, 0, +z), radius, currents[0], spt, "coil_top"),
+             _one_loop((0, 0, -z), radius, currents[1], spt, "coil_bottom")]
+    segs = mk.build(spec)
+    coil = slice(len(segs) - 2 * spt, None)   # the pair comes last in both builds
+    assert segs.starts[coil].tobytes() == np.concatenate([l[0] for l in loops]).tobytes()
+    assert segs.ends[coil].tobytes() == np.concatenate([l[1] for l in loops]).tobytes()
+    assert segs.currents[coil].tobytes() == np.repeat(currents, spt).astype(float).tobytes()
+    assert segs.group_ids[coil] == loops[0][3] + loops[1][3]
 
 
 def test_power_budget_and_field_model_name_the_same_conductors():
