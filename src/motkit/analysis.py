@@ -25,6 +25,10 @@ DEFAULT_WINDOW = 2.0e-3       # m
 DEFAULT_SAMPLES = 41
 DEFAULT_STENCIL = 1.0e-4      # m
 _GRID_N = 11                  # zero-finder grid points per axis
+# a |B| minimum counts as a zero only if its |B| is at most this share of
+# ||J||·h, the field change across the last Newton stencil; the presets and
+# designs near them give below 1e-13, a trap with a 9 G bias about 80
+ZERO_TOLERANCE = 1.0e-6
 
 # MOT suitability: minimum-axis gradient range (G/cm), the 1:1:-2 ratio of a
 # quadrupole with its relative tolerance, and the largest residual_rms /
@@ -95,20 +99,32 @@ class GradientReport:
         }
 
 
+@dataclass(frozen=True)
+class ZeroResult:
+    position: np.ndarray               # m
+    method: str                        # "newton", or "grid" after the scan
+    iterations: int                    # Newton stencils on the returned path
+    residual: float                    # |B| at position, T
+
+
 def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
-                    search_radius=DEFAULT_SEARCH_RADIUS) -> np.ndarray:
-    """|B| minimum: Newton steps on B = 0 from `search_center`, with a grid
+                    search_radius=DEFAULT_SEARCH_RADIUS) -> ZeroResult:
+    """Zero of B: Newton steps on B = 0 from `search_center`, with a grid
     scan of the search cube as the fallback.
 
     Near a quadrupole zero B is linear, so Newton on the vector field
-    converges quadratically to the |B| minimum.  Its result stands only if
-    every stencil it solves is finite, the steps end on their stop rule with
-    a solvable Jacobian, and every iterate stays in the search cube shrunk
-    by half a grid spacing, so a zero the grid would put on its boundary
-    still raises ZeroNotBracketed.  Otherwise `_grid_zero` scans 11^3 points
-    of the cube and refines the best.  Either way the refined point is
-    returned only if its |B| is no larger than at its start point, and the
-    start otherwise.
+    converges quadratically to it.  Its result stands only if every stencil
+    it solves is finite, the steps end on their stop rule with a solvable
+    Jacobian, every iterate stays in the search cube shrunk by half a grid
+    spacing, so a zero the grid would put on its boundary still raises
+    ZeroNotBracketed, and the result is a zero.  Otherwise `_grid_zero`
+    scans 11^3 points of the cube and refines the best.  Either way the
+    refined point is kept only if its |B| is no larger than at its start
+    point, and the start otherwise.
+
+    A |B| minimum need not be a zero: one whose |B| exceeds ZERO_TOLERANCE
+    times ||J||·h of the last Newton stencil raises ZeroNotBracketed naming
+    that |B|.  An exact zero needs no Jacobian.
     """
     if not (search_radius > 0):
         raise InvalidInput("search radius must be positive")
@@ -116,16 +132,16 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     c = np.array(search_center, dtype=float)
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
     try:
-        p, m_c, stopped = _newton(
+        p, m_c, stopped, stencils, jh = _newton(
             f, c, search_radius, lambda q: np.max(np.abs(q - c)) > inner)
         if stopped:
-            return _no_worse(f, p, c, m_c)
+            return _zero_result(f, "newton", p, c, m_c, stencils, jh)
     except (SingularPoint, ZeroNotBracketed):
         pass
     return _grid_zero(f, c, search_radius)
 
 
-def _grid_zero(f, c, search_radius) -> np.ndarray:
+def _grid_zero(f, c, search_radius) -> ZeroResult:
     """`find_field_zero`'s fallback: the |B| minimum of an 11^3 grid over the
     search cube, refined by Newton steps."""
     axis = np.linspace(-search_radius, search_radius, _GRID_N)
@@ -150,35 +166,38 @@ def _grid_zero(f, c, search_radius) -> np.ndarray:
 
     best_p = grid[best]
     limit = search_radius * math.sqrt(3.0)
-    p, _, _ = _newton(f, best_p, search_radius,
-                      lambda q: np.linalg.norm(q - c) > limit)
-    return _no_worse(f, p, best_p, best_m)
+    p, _, _, stencils, jh = _newton(f, best_p, search_radius,
+                                    lambda q: np.linalg.norm(q - c) > limit)
+    return _zero_result(f, "grid", p, best_p, best_m, stencils, jh)
 
 
 def _newton(f, p, search_radius, outside):
     """Newton steps on B = 0 from p, each solving the 7-point stencil's
     Jacobian, with steps capped at a quarter of the search radius.
 
-    Returns the last iterate, |B| at p, and whether the steps ended on the
-    stop rule (|B| == 0, or a step under 1e-13 m) rather than on a singular
-    Jacobian or the 60-step limit.  Raises SingularPoint at a NaN stencil row
-    around a non-zero field, and ZeroNotBracketed at an iterate q for which
-    `outside(q)` holds.
+    Returns the last iterate, |B| at p, whether the steps ended on the stop
+    rule (|B| == 0, or a step under 1e-13 m) rather than on a singular
+    Jacobian or the 60-step limit, the number of stencils evaluated, and
+    ||J||·h of the last Jacobian (0 if none was formed).  Raises
+    SingularPoint at a NaN stencil row around a non-zero field, and
+    ZeroNotBracketed at an iterate q for which `outside(q)` holds.
     """
     h = max(search_radius / 200.0, 1e-6)
     cap = search_radius / 4.0
+    jh = 0.0
     for i in range(60):
         B = f(_stencil(p, h))
         m = float(np.linalg.norm(B[0]))
         if i == 0:
             m_start = m
         if m == 0.0:
-            return p, m_start, True
+            return p, m_start, True, i + 1, jh
         J = _central_jacobian(_regular(B, "Newton stencil"), h)
+        jh = float(np.linalg.norm(J)) * h
         try:
             step = np.linalg.solve(J, B[0])
         except np.linalg.LinAlgError:
-            return p, m_start, False
+            return p, m_start, False, i + 1, jh
         norm = np.linalg.norm(step)
         if norm > cap:
             step *= cap / norm
@@ -186,15 +205,22 @@ def _newton(f, p, search_radius, outside):
         if outside(p):
             raise ZeroNotBracketed("zero refinement left the search region")
         if norm < 1e-13:
-            return p, m_start, True
-    return p, m_start, False
+            return p, m_start, True, i + 1, jh
+    return p, m_start, False, 60, jh
 
 
-def _no_worse(f, p, start, m_start) -> np.ndarray:
-    """p if its |B| is at most `m_start`, the |B| at `start`; else `start`."""
-    if float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0])) <= m_start:
-        return p
-    return start
+def _zero_result(f, method, p, start, m_start, stencils, jh) -> ZeroResult:
+    """The ZeroResult at p if its |B| is at most `m_start`, the |B| at
+    `start`, and at `start` otherwise; ZeroNotBracketed if that |B| exceeds
+    ZERO_TOLERANCE times `jh`, the last stencil's ||J||·h."""
+    m = float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0]))
+    if m > m_start:
+        p, m = start, m_start
+    if m > ZERO_TOLERANCE * jh:
+        raise ZeroNotBracketed(
+            f"|B| minimum is not a zero: |B| = {m * GAUSS_PER_TESLA:.4g} G at "
+            f"{np.round(p * 1e3, 4).tolist()} mm")
+    return ZeroResult(position=p, method=method, iterations=stencils, residual=m)
 
 
 def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:

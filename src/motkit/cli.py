@@ -29,8 +29,9 @@ from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
                        find_field_zero, fit_gradients, mot_suitability)
 from .errors import InvalidInput, MotKitError
 from .field import field_map_csv, sample_line, sample_plane
-from .geometry import (COPPER, COUNT, LENGTH, MATERIALS, NAME, NUMBER, REGISTRY,
-                       GeometrySpec, Material, SegmentList, build, read_fields)
+from .geometry import (COPPER, COUNT, CURRENT, LENGTH, MATERIALS, NAME, NUMBER,
+                       REGISTRY, GeometrySpec, Material, SegmentList, build,
+                       read_fields)
 from .optimize import ObjectiveSpec, optimize_geometry, trace_csv
 from .power import power_report
 from .scaling import scaling_report
@@ -95,7 +96,7 @@ def _read_objective(doc, geometry: GeometrySpec, ana: dict) -> ObjectiveSpec:
         doc = {key: value for key, value in doc.items() if key != "max_power_W"}
     bounds = {name: (kind, kind) for name, (kind, _)
               in REGISTRY[geometry.variant].parameters.items()
-              if kind in (LENGTH, NUMBER)}
+              if kind in (LENGTH, CURRENT, NUMBER)}
     given = read_fields(doc, {
         "target_gradient_Gcm": NUMBER, "target_ratio": (NUMBER,) * 3,
         "weights": dict.fromkeys(("w_mag", "w_ratio", "w_power"), NUMBER),
@@ -173,7 +174,12 @@ def _check_outdir(out: str):
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`doc` as RFC 8259 JSON; a non-finite number in it is a numerical
+    failure (exit 4)."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise MotKitError(f"report holds a non-finite number: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +191,7 @@ def cmd_simulate(args) -> int:
     _check_outdir(args.out)
     ana = cfg["analysis"]
     segs = build(cfg["geometry"])
-    zero = find_field_zero(segs, search_radius=ana["search_radius"])
+    zero = find_field_zero(segs, search_radius=ana["search_radius"]).position
     greport = fit_gradients(segs, zero, window=ana["window"], n=ana["samples"])
     preport = power_report(cfg["geometry"], cfg["material"])
     verdict = mot_suitability(greport)

@@ -35,7 +35,8 @@ class EmptySample(MotKitError):
 
 
 class ZeroNotBracketed(MotKitError):
-    """The |B| minimum sits on the search-region boundary."""
+    """No zero of B found in the search region: the |B| minimum sits on its
+    boundary, or |B| there is not zero."""
 
 
 class DegenerateFit(MotKitError):

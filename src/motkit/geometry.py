@@ -36,6 +36,9 @@ ARM_GRID = 3
 # GeometrySpec gives, far below the 1e77 m where the field kernel's products
 # of distances overflow
 MAX_LENGTH = 1e3
+# amperes: upper bound on every current a config or a GeometrySpec gives,
+# far below the 1e154 A where a Joule power's I^2 overflows
+MAX_CURRENT = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +135,10 @@ MATERIALS = {m.name: m for m in (COPPER, TITANIUM_LIKE)}
 
 
 # value kinds of config fields: lengths are millimetres in JSON and metres
-# inside, points are [x, y, z] lengths, numbers (currents, angles), flags,
-# counts and names pass unchanged
-LENGTH, POINTS, NUMBER, FLAG, COUNT, NAME = (
-    "length", "points", "number", "flag", "count", "name")
+# inside, points are [x, y, z] lengths, currents (amperes), other numbers
+# (angles, weights), flags, counts and names pass unchanged
+LENGTH, POINTS, CURRENT, NUMBER, FLAG, COUNT, NAME = (
+    "length", "points", "current", "number", "flag", "count", "name")
 
 
 def _finite(value) -> bool:
@@ -148,7 +151,7 @@ def _finite(value) -> bool:
 def _check(key, kind, value):
     if kind == LENGTH and not (_finite(value) and value > 0):
         raise InvalidInput(f"{key} must be a positive length")
-    if kind == NUMBER and not _finite(value):
+    if kind in (CURRENT, NUMBER) and not _finite(value):
         raise InvalidInput(f"{key} must be a finite number")
     if kind == POINTS and not (isinstance(value, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_finite, p))
@@ -163,10 +166,13 @@ def _check(key, kind, value):
 
 
 def _check_cap(key, kind, value):
-    """Reject a length or coordinate, in metres, beyond MAX_LENGTH."""
+    """Reject a length or coordinate, in metres, beyond MAX_LENGTH, and a
+    current beyond MAX_CURRENT."""
     if ((kind == LENGTH and abs(value) > MAX_LENGTH) or (kind == POINTS and any(
             abs(c) > MAX_LENGTH for p in value for c in p))):
         raise InvalidInput(f"{key} exceeds the {MAX_LENGTH:g} m length cap")
+    if kind == CURRENT and abs(value) > MAX_CURRENT:
+        raise InvalidInput(f"{key} exceeds the {MAX_CURRENT:g} A current cap")
 
 
 def _scale(kind, value, k):
@@ -185,8 +191,8 @@ def read_fields(doc, kinds: dict, context: str) -> dict:
     nested object, a tuple of kinds a list of that many values, and None
     takes any value as it is, for its own reader.  Only the keys `doc` gives
     are returned.  A non-object, an unknown key, a value of the wrong kind
-    or a length or coordinate beyond MAX_LENGTH raises InvalidInput naming
-    `context`.
+    or a length, coordinate or current beyond its cap raises InvalidInput
+    naming `context`.
     """
     if not isinstance(doc, dict):
         raise InvalidInput(f"{context} must be a JSON object")
@@ -206,7 +212,8 @@ def _read(kind, value, key):
         return tuple(_read(k, v, f"{key}[{i}]")
                      for i, (k, v) in enumerate(zip(kind, value)))
     _check(key, kind, value)
-    value = _scale(kind, float(value) if kind in (LENGTH, NUMBER) else value, 1e-3)
+    value = _scale(kind, float(value) if kind in (LENGTH, CURRENT, NUMBER)
+                   else value, 1e-3)
     _check_cap(key, kind, value)
     return value
 
@@ -651,28 +658,6 @@ def _two_piece(p, spt) -> SegmentList:
     return _assemble(piece_a + piece_b, _CYL_TO_LAB)
 
 
-def _ioffe_pritchard(p, spt) -> SegmentList:
-    """Classic Ioffe-Pritchard trap: four alternating bars plus a coil pair
-    carrying parallel currents."""
-    bar_length, bar_radius = p["bar_length"], p["bar_radius"]
-    circuits = []
-    for k_up in (0, 2):
-        phi_u = math.pi / 4.0 + k_up * math.pi / 2.0
-        phi_d = phi_u + math.pi / 2.0
-        bar_u = [_offset_point(bar_radius, phi_u, -bar_length / 2.0),
-                 _offset_point(bar_radius, phi_u, bar_length / 2.0)]
-        bar_d = [_offset_point(bar_radius, phi_d, bar_length / 2.0),
-                 _offset_point(bar_radius, phi_d, -bar_length / 2.0)]
-        # adjacent bars with opposite currents close through end arcs,
-        # standing in for the physical end contacts
-        circuits.append(_closed_circuit([(bar_u, f"bar{k_up}"),
-                                         (bar_d, f"bar{k_up + 1}")], p["bar_current"], spt))
-    z = p["coil_separation"] / 2.0
-    circuits += _loop([(0, 0, z), (0, 0, -z)], p["coil_radius"],
-                      [p["coil_current"]] * 2, spt, _COIL_PAIR)
-    return _assemble(circuits)
-
-
 # ---------------------------------------------------------------------------
 # laser clearance
 
@@ -718,15 +703,6 @@ class Conductor:
 def _anti_helmholtz_sections(p):
     coil = ((2.0 * math.pi * p["radius"], math.pi * (p["wire_diameter"] / 2.0) ** 2),)
     return [Conductor(g, p["current"], coil) for g in _COIL_PAIR]
-
-
-def _ioffe_pritchard_sections(p):
-    area = math.pi * (p["wire_diameter"] / 2.0) ** 2
-    coil = ((2.0 * math.pi * p["coil_radius"], area),)
-    return ([Conductor(f"bar{k}", p["bar_current"], ((p["bar_length"], area),))
-             for k in range(4)]
-            + [Conductor(g, p["coil_current"], coil)
-               for g in _COIL_PAIR])
 
 
 def _twisted_cage_sections(p):
@@ -788,36 +764,30 @@ class Variant:
 REGISTRY = {
     "AntiHelmholtz": Variant(
         {"radius": (LENGTH, 0.050), "separation": (LENGTH, 0.050),
-         "current": (NUMBER, 100.0), "wire_diameter": (LENGTH, 0.001)},
+         "current": (CURRENT, 100.0), "wire_diameter": (LENGTH, 0.001)},
         _anti_helmholtz, _anti_helmholtz_sections),
-    "IoffePritchard": Variant(
-        {"bar_length": (LENGTH, 0.110), "bar_radius": (LENGTH, 0.0225),
-         "bar_current": (NUMBER, 100.0), "coil_radius": (LENGTH, 0.030),
-         "coil_separation": (LENGTH, 0.080), "coil_current": (NUMBER, 100.0),
-         "wire_diameter": (LENGTH, 0.001)},
-        _ioffe_pritchard, _ioffe_pritchard_sections),
     # reference design: 110 mm tall, 55 mm outer width, 10 mm bars, 100 A
     "TwistedCage": Variant(
         {"height": (LENGTH, 0.110), "outer_width": (LENGTH, 0.055),
          "bar_diameter": (LENGTH, 0.010), "twist_angle": (NUMBER, 0.5),
-         "current": (NUMBER, 100.0)},
+         "current": (CURRENT, 100.0)},
         _twisted_cage, _twisted_cage_sections),
     # reference design: 45 mm tall, 24 mm wide, 15 mm holes, 0.5 mm gaps, 40 A
     "CompactFour": Variant(
         {"height": (LENGTH, 0.045), "width": (LENGTH, 0.024),
          "hole_diameter": (LENGTH, 0.015), "gap": (LENGTH, 0.0005),
-         "current_per_conductor": (NUMBER, 40.0)},
+         "current_per_conductor": (CURRENT, 40.0)},
         _compact_four, _compact_four_sections),
     # reference design: 38 mm tall, 26 mm outer diameter, 3.1 mm arms, 25 A
     "TwoPiece": Variant(
         {"height": (LENGTH, 0.038), "outer_diameter": (LENGTH, 0.026),
          "arm_width": (LENGTH, 0.0031), "hole_diameter": (LENGTH, 0.015),
-         "gap": (LENGTH, 0.0005), "current_per_conductor": (NUMBER, 25.0),
+         "gap": (LENGTH, 0.0005), "current_per_conductor": (CURRENT, 25.0),
          "arm_depth": (LENGTH, 0.0016)},
         _two_piece, _two_piece_sections),
     # an open path is fed at its two ends
     "FreePath": Variant(
-        {"points": (POINTS, ()), "current": (NUMBER, 1.0), "closed": (FLAG, False)},
+        {"points": (POINTS, ()), "current": (CURRENT, 1.0), "closed": (FLAG, False)},
         lambda p, spt: make_free_path(**p),
         _free_path_sections,
         lambda p: () if p["closed"] else (p["points"][0], p["points"][-1])),

@@ -116,7 +116,7 @@ def evaluate_design(spec: GeometrySpec, obj: ObjectiveSpec,
     if not ok:
         return None, None
     try:
-        zero = find_field_zero(segs, search_radius=obj.search_radius)
+        zero = find_field_zero(segs, search_radius=obj.search_radius).position
         greport = fit_gradients(segs, zero, window=obj.fit_window,
                                 n=obj.fit_samples)
     except InvalidInput:

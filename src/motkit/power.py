@@ -84,6 +84,8 @@ def power_report(spec: GeometrySpec, material: Material = COPPER) -> PowerReport
     conductors = []
     for c in conductor_sections(spec):
         narrowest = min(area for _, area in c.sections)
+        # first, so that an area that underflows to 0 is InvalidInput
+        density = current_density(c.current, narrowest)
         resistance = material.resistivity * _sum(
             length / area for length, area in c.sections)
         conductors.append(ConductorBudget(
@@ -91,6 +93,6 @@ def power_report(spec: GeometrySpec, material: Material = COPPER) -> PowerReport
             length=_sum(length for length, _ in c.sections),
             cross_section=narrowest, resistance=resistance, current=c.current,
             power=joule_power(c.current, resistance),
-            current_density=current_density(c.current, narrowest)))
+            current_density=density))
     return PowerReport(material=material, conductors=tuple(conductors),
                        total_power=_sum(c.power for c in conductors))

@@ -100,7 +100,7 @@ def verify_scaling_numerically(base_spec: GeometrySpec, k_values) -> ScalingFit:
     for k in ks:
         spec = base_spec.scaled(k)
         segs = build(spec)
-        zero = find_field_zero(segs, search_radius=WINDOW * k)
+        zero = find_field_zero(segs, search_radius=WINDOW * k).position
         rep = fit_gradients(segs, zero, window=WINDOW * k)
         figures.append(float(gradient_per_root_watt(rep, power_report(spec))[2]))
     slope = np.polyfit(np.log(ks), np.log(figures), 1)[0]

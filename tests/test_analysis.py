@@ -31,7 +31,7 @@ def test_fit_gradients_recovers_exact_slopes():
 
 def test_find_zero_of_offset_quadrupole():
     offset = np.array([0.4e-3, -0.7e-3, 1.1e-3])
-    zero = mk.find_field_zero(linear_field(QUADRUPOLE, offset))
+    zero = mk.find_field_zero(linear_field(QUADRUPOLE, offset)).position
     assert np.linalg.norm(zero - offset) < 1e-9
 
 
@@ -39,8 +39,27 @@ def test_find_zero_on_anti_helmholtz():
     segs = mk.build(mk.GeometrySpec(
         "AntiHelmholtz", {"radius": 0.05, "separation": 0.05, "current": 100.0},
         segments_per_turn=120))
-    zero = mk.find_field_zero(segs)
-    assert np.linalg.norm(zero) < 1e-9
+    result = mk.find_field_zero(segs)
+    assert np.linalg.norm(result.position) < 1e-9
+    assert result.method == "newton" and result.iterations >= 1
+    assert result.residual == float(np.linalg.norm(mk.field_at(segs, result.position)))
+
+
+def test_a_minimum_that_is_not_a_zero_raises():
+    # |B| is least at the origin, 1 G there; no Newton step moves off it
+    def biased(p):
+        return np.array([p[0], p[1], 1e-4 + p[2] ** 2])
+
+    with pytest.raises(ZeroNotBracketed, match=r"\|B\| = 1 G") as info:
+        mk.find_field_zero(biased)
+    assert info.value.exit_code == 4
+
+
+def test_an_exact_zero_needs_no_jacobian():
+    # B = 0 exactly at the origin, where dB_z/dz = 0 makes J singular
+    result = mk.find_field_zero(lambda p: np.array([p[0], p[1], p[2] ** 2]))
+    assert result.position.tolist() == [0.0, 0.0, 0.0]
+    assert result.residual == 0.0
 
 
 def test_zero_outside_region_raises():
@@ -52,19 +71,22 @@ def test_zero_outside_region_raises():
 OFF_CENTRE = (1e-3, -0.5e-3, 0.7e-3)  # m
 
 
-def _designs():
-    """The 4 presets and, from a fixed seed, 3 buildable +-20 % perturbations
-    of each of TwoPiece, CompactFour and TwistedCage, as (spec, segments)."""
+def _designs(seed=8, spread=0.2, count=3,
+             variants=("TwoPiece", "CompactFour", "TwistedCage"),
+             segments_per_turn=360):
+    """The 4 presets and, from a fixed seed, `count` buildable perturbations
+    by up to +-`spread` of each of `variants`, as (spec, segments)."""
     for name in ("anti_helmholtz", "compact_four", "twisted_cage", "two_piece"):
         spec = cli.load_config(name)["geometry"]
         yield spec, mk.build(spec)
-    rng = random.Random(8)
-    for variant in ("TwoPiece", "CompactFour", "TwistedCage"):
+    rng = random.Random(seed)
+    for variant in variants:
         base = mk.GeometrySpec(variant).parameters
         kept = 0
-        while kept < 3:
-            spec = mk.GeometrySpec(variant, {k: v * rng.uniform(0.8, 1.2)
-                                             for k, v in base.items()})
+        while kept < count:
+            spec = mk.GeometrySpec(
+                variant, {k: v * rng.uniform(1.0 - spread, 1.0 + spread)
+                          for k, v in base.items()}, segments_per_turn)
             try:
                 segs = mk.build(spec)
             except MotKitError:
@@ -76,11 +98,27 @@ def _designs():
 def test_finder_agrees_with_grid_path():
     for spec, segs in _designs():
         for start in ((0.0, 0.0, 0.0), OFF_CENTRE):
-            zero = mk.find_field_zero(segs, start)
+            zero = mk.find_field_zero(segs, start).position
             grid = analysis._grid_zero(analysis.as_field(segs),
                                        np.array(start),
-                                       analysis.DEFAULT_SEARCH_RADIUS)
+                                       analysis.DEFAULT_SEARCH_RADIUS).position
             assert np.max(np.abs(zero - grid)) < 1e-12, (spec, start)
+
+
+def test_designs_pass_the_zero_test_by_decades():
+    # |B| at each found zero against ||J||·h of the finder's stencil step;
+    # find_field_zero raises above ZERO_TOLERANCE = 1e-6, and these designs
+    # sit below 1e-13
+    h = analysis.DEFAULT_SEARCH_RADIUS / 200.0
+    checked = 0
+    for spec, segs in _designs(seed=16, spread=0.1, count=5, variants=(
+            "TwoPiece", "CompactFour", "TwistedCage", "AntiHelmholtz"),
+            segments_per_turn=48):
+        result = mk.find_field_zero(segs)
+        jh = np.linalg.norm(mk.jacobian_at(segs, result.position, h)) * h
+        assert result.residual <= 1e-12 * jh, spec
+        checked += 1
+    assert checked == 4 + 20
 
 
 @pytest.mark.parametrize("preset", ["anti_helmholtz", "two_piece"])
@@ -88,13 +126,13 @@ def test_symmetric_preset_gives_the_exact_centre(preset):
     # Newton moves off the centre by roundoff only; the tie rule keeps the
     # centre, whose |B| is no larger
     segs = mk.build(cli.load_config(preset)["geometry"])
-    assert mk.find_field_zero(segs).tolist() == [0.0, 0.0, 0.0]
+    assert mk.find_field_zero(segs).position.tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("x_mm", [2.5, 2.69])
 def test_zero_inside_shrunk_cube_is_found(x_mm):
     offset = np.array([x_mm * 1e-3, 0.0, 0.0])
-    zero = mk.find_field_zero(linear_field(QUADRUPOLE, offset))
+    zero = mk.find_field_zero(linear_field(QUADRUPOLE, offset)).position
     assert np.linalg.norm(zero - offset) < 1e-9
 
 
@@ -115,8 +153,9 @@ def test_singular_centre_falls_back_to_grid():
             raise SingularPoint("conductor at the origin")
         return quadrupole(p)
 
-    zero = mk.find_field_zero(field)
-    assert np.linalg.norm(zero - offset) < 1e-9
+    result = mk.find_field_zero(field)
+    assert np.linalg.norm(result.position - offset) < 1e-9
+    assert result.method == "grid"
 
 
 def test_finder_skips_the_grid():
@@ -128,8 +167,9 @@ def test_finder_skips_the_grid():
         calls.append(p)
         return quadrupole(p)
 
-    zero = mk.find_field_zero(field)
-    assert np.linalg.norm(zero - offset) < 1e-9
+    result = mk.find_field_zero(field)
+    assert np.linalg.norm(result.position - offset) < 1e-9
+    assert result.method == "newton"
     assert len(calls) < 100     # the 11^3 grid alone is 1331 points
 
 
@@ -191,7 +231,7 @@ def test_fit_gradients_is_bitwise_the_per_axis_fit():
     sources = [(curved, np.array([1e-4, -2e-4, 5e-5]))]
     for name in ("anti_helmholtz", "compact_four", "twisted_cage", "two_piece"):
         segs = mk.build(cli.load_config(name)["geometry"])
-        sources.append((segs, mk.find_field_zero(segs)))
+        sources.append((segs, mk.find_field_zero(segs).position))
     fits = 0
     for source, zero in sources:
         for window, n in ((2e-3, 41), (1e-3, 5), (0.5e-3, 7), (3e-3, 101)):

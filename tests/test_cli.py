@@ -237,6 +237,8 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
     (["analysis", "search_radius_mm"], 1e300),
     # a power cap must be positive; the default is no cap
     (["objective", "max_power_W"], -1),
+    # current bounds beyond MAX_CURRENT, whose I^2 would overflow
+    (["objective", "bounds_mm", "current"], [1.0, 1e160]),
 ])
 def test_malformed_config_is_exit_2(tmp_path, path, value):
     doc = coil_config(objective={
@@ -335,6 +337,10 @@ def test_clearance_error_while_building_is_exit_3(tmp_path):
     # the filament counts are fixed, not settable
     {"variant": "TwistedCage", "discretization": {"bundle_filaments": 2}},
     {"variant": "TwoPiece", "discretization": {"arm_grid": 2}},
+    # currents beyond MAX_CURRENT, whose I^2 would overflow
+    {"variant": "AntiHelmholtz", "parameters": {"current": 1e160}},
+    # a wire so thin that its cross-section underflows to zero
+    {"variant": "AntiHelmholtz", "parameters": {"wire_diameter": 1e-197}},
 ])
 def test_malformed_geometry_is_exit_2(tmp_path, geometry):
     cfg = write_config(tmp_path, {"geometry": geometry})
@@ -360,6 +366,7 @@ _discretization = st.fixed_dictionaries(
 def _plausible(variant):
     """Documents of one variant whose values mostly pass validation."""
     values = {mk.geometry.LENGTH: st.floats(0.05, 80.0),
+              mk.geometry.CURRENT: st.floats(-100.0, 100.0),
               mk.geometry.NUMBER: st.floats(-100.0, 100.0),
               mk.geometry.POINTS: _points, mk.geometry.FLAG: st.booleans()}
     return st.fixed_dictionaries(
@@ -431,14 +438,21 @@ def _config(junky):
                   "objective": objective})
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.booleans().flatmap(_config))
 def test_every_section_ends_in_a_documented_exit_code(tmp_path_factory, doc):
     tmp_path = tmp_path_factory.mktemp("config")
-    argv = ["--config", write_config(tmp_path, doc),
-            "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = ["--config", write_config(tmp_path, doc), "--out", str(out)]
     if "objective" in doc:
         argv = ["optimize", *argv, "--budget", "2"]
     else:
         argv = ["simulate", *argv]
     assert run(argv) in (0, 2, 3, 4)
+    # every number in every report is finite
+    for path in out.glob("*.json") if out.exists() else ():
+        json.loads(path.read_text(), parse_constant=_reject_constant)

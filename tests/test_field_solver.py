@@ -260,13 +260,34 @@ def reference_field(segments, points):
     return out
 
 
-PRESETS = ("AntiHelmholtz", "TwoPiece", "CompactFour", "TwistedCage",
-           "IoffePritchard")
+# tools/byte_identity.py's SQUARE_PAIR in metres: a 20 mm square 5 mm above
+# the centre, then down at its first corner and round the square the other
+# way 5 mm below it
+SQUARE_PAIR = 1e-3 * np.array(
+    [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5], [-10, -10, 5],
+     [-10, -10, -5], [-10, 10, -5], [10, 10, -5], [10, -10, -5], [-10, -10, -5]])
 
 
-@pytest.mark.parametrize("variant", PRESETS)
+def square_pairs():
+    """SQUARE_PAIR as a closed FreePath at 5 A, then the same path 1.5 times
+    larger at -5 A: straight segments up to 30 mm long, and a break mid-list
+    where the first path closes.  One closed path alone breaks only at its
+    last segment."""
+    paths = [mk.build(mk.GeometrySpec("FreePath", {
+        "points": (k * SQUARE_PAIR).tolist(), "closed": True,
+        "current": current})) for k, current in ((1.0, 5.0), (1.5, -5.0))]
+    return mk.SegmentList(*(np.concatenate([getattr(p, name) for p in paths])
+                            for name in ("starts", "ends", "currents")),
+                          paths[0].group_ids + paths[1].group_ids)
+
+
+PRESETS = ("AntiHelmholtz", "TwoPiece", "CompactFour", "TwistedCage")
+
+
+@pytest.mark.parametrize("variant", PRESETS + ("FreePath",))
 def test_field_many_is_bitwise_equal_to_the_reference(monkeypatch, variant):
-    segs = mk.build(mk.GeometrySpec(variant))
+    segs = (square_pairs() if variant == "FreePath"
+            else mk.build(mk.GeometrySpec(variant)))
     points = kernel_points(segs, 60, np.random.default_rng(5))
     expected = reference_field(segs, points)
     assert np.isnan(expected[:, 0]).sum() >= 2

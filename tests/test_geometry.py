@@ -125,14 +125,15 @@ def test_spec_rejects_malformed_points():
 
 def test_read_fields_checks_each_kind():
     g = mk.geometry
-    kinds = {"l": g.LENGTH, "n": g.NUMBER, "c": g.COUNT, "f": g.FLAG,
-             "s": g.NAME, "p": g.POINTS, "pair": (g.NUMBER, g.LENGTH),
-             "sub": {"l": g.LENGTH}, "any": None}
-    doc = {"l": 7, "n": 3, "c": 4, "f": False, "s": "x", "p": [[1, 2, 3]],
-           "pair": [1, 5.5], "sub": {"l": 0.7}, "any": [1, "x"]}
+    kinds = {"l": g.LENGTH, "n": g.NUMBER, "i": g.CURRENT, "c": g.COUNT,
+             "f": g.FLAG, "s": g.NAME, "p": g.POINTS,
+             "pair": (g.NUMBER, g.LENGTH), "sub": {"l": g.LENGTH}, "any": None}
+    doc = {"l": 7, "n": 3, "i": -1_000_000, "c": 4, "f": False, "s": "x",
+           "p": [[1, 2, 3]], "pair": [1, 5.5], "sub": {"l": 0.7},
+           "any": [1, "x"]}
     # lengths are float() then scaled, bitwise as the JSON round trip does
     assert g.read_fields(doc, kinds, "t") == {
-        "l": 7.0 * 1e-3, "n": 3.0, "c": 4, "f": False, "s": "x",
+        "l": 7.0 * 1e-3, "n": 3.0, "i": -1e6, "c": 4, "f": False, "s": "x",
         "p": ((1e-3 * 1, 1e-3 * 2, 1e-3 * 3),), "pair": (1.0, 5.5 * 1e-3),
         "sub": {"l": 0.7 * 1e-3}, "any": [1, "x"]}
     assert g.read_fields({}, kinds, "t") == {}
@@ -144,7 +145,10 @@ def test_read_fields_checks_each_kind():
                      ("sub", {"bogus": 1}), ("bogus", 1),
                      # beyond MAX_LENGTH (1 km) in metres after scaling
                      ("l", 1e300), ("l", 1e7), ("p", [[0, 0, -1e300]]),
-                     ("pair", [1, 1e7]), ("sub", {"l": 1e300})]:
+                     ("pair", [1, 1e7]), ("sub", {"l": 1e300}),
+                     # currents: finite, and within MAX_CURRENT (1 MA)
+                     ("i", math.inf), ("i", True), ("i", 1_000_001),
+                     ("i", -1e160)]:
         with pytest.raises(InvalidInput, match=r"\bt\b"):
             g.read_fields({key: bad}, kinds, "t")
     with pytest.raises(InvalidInput):
@@ -170,6 +174,20 @@ def test_spec_caps_lengths_from_the_python_api():
     assert spec.parameters["radius"] == geometry.MAX_LENGTH
 
 
+def test_spec_caps_currents_from_the_python_api():
+    # I^2 overflows near 1e154 A; each family's current is capped far below
+    for variant, key in (("AntiHelmholtz", "current"), ("TwistedCage", "current"),
+                         ("FreePath", "current"),
+                         ("CompactFour", "current_per_conductor"),
+                         ("TwoPiece", "current_per_conductor")):
+        assert geometry.REGISTRY[variant].parameters[key][0] == geometry.CURRENT
+        for current in (1e160, -2 * geometry.MAX_CURRENT):
+            with pytest.raises(InvalidInput, match="current cap"):
+                mk.GeometrySpec(variant).replace_parameters(**{key: current})
+    spec = mk.GeometrySpec("TwoPiece", {"current_per_conductor": -geometry.MAX_CURRENT})
+    assert spec.parameters["current_per_conductor"] == -geometry.MAX_CURRENT
+
+
 def test_spec_scaled_touches_lengths_only():
     spec = mk.GeometrySpec("AntiHelmholtz").scaled(0.5)
     assert spec.parameters["radius"] == pytest.approx(0.025)
@@ -177,8 +195,7 @@ def test_spec_scaled_touches_lengths_only():
 
 
 def test_all_variants_build():
-    for variant in ("AntiHelmholtz", "IoffePritchard", "TwistedCage",
-                    "CompactFour", "TwoPiece"):
+    for variant in ("AntiHelmholtz", "TwistedCage", "CompactFour", "TwoPiece"):
         segs = mk.build(mk.GeometrySpec(variant))
         assert len(segs) > 0
 
@@ -299,24 +316,19 @@ def _one_loop(center, radius, current, n_segments, group_id):
 
 
 @pytest.mark.parametrize("spt", [8, 13, 24, 360, 721])
-@pytest.mark.parametrize("variant", ["AntiHelmholtz", "IoffePritchard"])
+@pytest.mark.parametrize("variant", ["AntiHelmholtz"])
 def test_coil_pairs_are_bitwise_two_loops(variant, spt):
     spec = mk.GeometrySpec(variant, segments_per_turn=spt)
     p = spec.parameters
-    if variant == "AntiHelmholtz":
-        z, radius = p["separation"] / 2.0, p["radius"]
-        currents = (p["current"], -p["current"])
-    else:
-        z, radius = p["coil_separation"] / 2.0, p["coil_radius"]
-        currents = (p["coil_current"],) * 2
+    z, radius = p["separation"] / 2.0, p["radius"]
+    currents = (p["current"], -p["current"])
     loops = [_one_loop((0, 0, +z), radius, currents[0], spt, "coil_top"),
              _one_loop((0, 0, -z), radius, currents[1], spt, "coil_bottom")]
     segs = mk.build(spec)
-    coil = slice(len(segs) - 2 * spt, None)   # the pair comes last in both builds
-    assert segs.starts[coil].tobytes() == np.concatenate([l[0] for l in loops]).tobytes()
-    assert segs.ends[coil].tobytes() == np.concatenate([l[1] for l in loops]).tobytes()
-    assert segs.currents[coil].tobytes() == np.repeat(currents, spt).astype(float).tobytes()
-    assert segs.group_ids[coil] == loops[0][3] + loops[1][3]
+    assert segs.starts.tobytes() == np.concatenate([l[0] for l in loops]).tobytes()
+    assert segs.ends.tobytes() == np.concatenate([l[1] for l in loops]).tobytes()
+    assert segs.currents.tobytes() == np.repeat(currents, spt).astype(float).tobytes()
+    assert segs.group_ids == loops[0][3] + loops[1][3]
 
 
 def test_power_budget_and_field_model_name_the_same_conductors():
@@ -331,8 +343,7 @@ def test_power_budget_and_field_model_name_the_same_conductors():
 
 
 def test_conductor_sections_positive():
-    for variant in ("AntiHelmholtz", "IoffePritchard", "TwistedCage",
-                    "CompactFour", "TwoPiece"):
+    for variant in ("AntiHelmholtz", "TwistedCage", "CompactFour", "TwoPiece"):
         conductors = mk.conductor_sections(mk.GeometrySpec(variant))
         assert conductors
         for conductor in conductors:

@@ -137,3 +137,35 @@ def test_budget_cut_inside_a_shrink_reports_an_evaluated_pair(monkeypatch):
         assert result.best_objective == min(seen), budget
         best = spec.replace_parameters(**result.best_parameters)
         assert rugged(best, obj) == result.best_objective, budget
+
+
+def test_an_evaluation_takes_three_kernel_calls(monkeypatch):
+    # the optimize-coil24 start design: the zero finder's one stencil and its
+    # one-point check of |B| (whose zero test reuses that stencil), then the
+    # three 41-sample fit axes
+    calls = []
+
+    def counted(segments, points):
+        calls.append(len(points))
+        return mk.field_many(segments, points)
+
+    monkeypatch.setattr(mk.analysis, "field_many", counted)
+    spec = mk.GeometrySpec("AntiHelmholtz", {"radius": 0.040, "separation": 0.060},
+                           FAST)
+    obj = mk.ObjectiveSpec(w_power=0.0, bounds={"radius": (0.005, 0.06)})
+    greport, preport = mk.evaluate_design(spec, obj)
+    assert greport is not None and preport is not None
+    assert calls == [7, 1, 123]
+
+
+def test_a_false_zero_is_a_discarded_evaluation(monkeypatch):
+    # a bias field has its |B| minimum at the centre but no zero there
+    def biased(segments, points):
+        points = np.asarray(points, dtype=float)
+        return np.column_stack([points[:, 0], points[:, 1],
+                                1e-4 + points[:, 2] ** 2])
+
+    monkeypatch.setattr(mk.analysis, "field_many", biased)
+    spec = mk.GeometrySpec("AntiHelmholtz", {}, FAST)
+    with pytest.raises(mk.ObjectiveEvaluationError, match=r"\|B\| = 1 G"):
+        mk.evaluate_design(spec, coil_objective())

@@ -71,11 +71,9 @@ def _left_to_right(values):
 
 @pytest.mark.parametrize("spec", [
     mk.GeometrySpec("TwoPiece"), mk.GeometrySpec("CompactFour"),
-    mk.GeometrySpec("IoffePritchard"),
     # Python 3.12's compensated sum() gives this spec another total
-    mk.GeometrySpec("IoffePritchard", {"bar_length": 0.070, "coil_radius": 0.025,
-                                       "coil_current": 150.0}),
-], ids=["TwoPiece", "CompactFour", "IoffePritchard", "IoffePritchard_70mm"])
+    mk.GeometrySpec("TwistedCage", {"bar_diameter": 0.009}),
+], ids=["TwoPiece", "CompactFour", "TwistedCage_9mm"])
 def test_power_figures_add_left_to_right(spec):
     # every Python version must give the same bits
     report = mk.power_report(spec, mk.COPPER)

@@ -10,9 +10,8 @@ in a fresh interpreter that writes no bytecode, and compares the exit code,
 standard output, standard error and every file written to `--out`:
 
 * `simulate` and `export` on each of the 4 bundled presets, and on the
-  geometries no preset holds: IoffePritchard at its defaults and with a
-  10 mm zero search radius, an open and a closed FreePath round one square,
-  and a closed FreePath round two squares with opposite senses;
+  geometries no preset holds: an open and a closed FreePath round one
+  square, and a closed FreePath round two squares with opposite senses;
 * `simulate` and `export` of TwistedCage, CompactFour and TwoPiece at 24
   segments per turn, so that each builder runs at a second resolution;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
@@ -47,11 +46,8 @@ SQUARE = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5]]
 SQUARE_PAIR = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5],
                [-10, -10, 5], [-10, -10, -5], [-10, 10, -5], [10, 10, -5],
                [10, -10, -5], [-10, -10, -5]]
-# configs of the variants no preset holds
+# configs of the geometries no preset holds
 EXTRA_CONFIGS = {
-    "ioffe_pritchard": {"geometry": {"variant": "IoffePritchard"}},
-    "ioffe_pritchard_r10": {"geometry": {"variant": "IoffePritchard"},
-                            "analysis": {"search_radius_mm": 10}},
     "free_path_open": {"geometry": {"variant": "FreePath",
                                     "parameters": {"points": SQUARE}}},
     "free_path_closed": {"geometry": {
