@@ -14,8 +14,7 @@ from .geometry import (COPPER, MATERIALS, TITANIUM_LIKE, Conductor,
                        clearance_check, conductor_sections, make_free_path,
                        make_loop)
 from .optimize import (ObjectiveSpec, OptResult, evaluate_design,
-                       objective_from_reports, objective_value,
-                       optimize_geometry)
+                       objective_value, optimize_geometry)
 from .power import (PowerReport, current_density, joule_power, power_report,
                     required_heat_transfer_coefficient)
 from .scaling import (ScalingFit, ScalingReport, gradient_per_root_watt,

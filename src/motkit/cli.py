@@ -54,8 +54,7 @@ MAX_SAMPLES = 1_000_000
 
 # objective keys named apart from their ObjectiveSpec field
 _OBJECTIVE_FIELDS = {"target_gradient_Gcm": "target_gradient",
-                     "beam_diameter_mm": "beam_diameter",
-                     "max_power_W": "max_power", "bounds_mm": "bounds"}
+                     "beam_diameter_mm": "beam_diameter", "bounds_mm": "bounds"}
 
 
 def _read_analysis(doc) -> dict:
@@ -92,16 +91,13 @@ def _read_objective(doc, geometry: GeometrySpec, ana: dict) -> ObjectiveSpec:
     """The objective from the keys the config gives, with the zero search and
     the gradient fit of the analysis section; ObjectiveSpec holds the
     defaults.  Each bound is read in its parameter's kind."""
-    if isinstance(doc, dict) and doc.get("max_power_W", 0) is None:  # no cap
-        doc = {key: value for key, value in doc.items() if key != "max_power_W"}
     bounds = {name: (kind, kind) for name, (kind, _)
               in REGISTRY[geometry.variant].parameters.items()
               if kind in (LENGTH, CURRENT, NUMBER)}
     given = read_fields(doc, {
-        "target_gradient_Gcm": NUMBER, "target_ratio": (NUMBER,) * 3,
+        "target_gradient_Gcm": NUMBER,
         "weights": dict.fromkeys(("w_mag", "w_ratio", "w_power"), NUMBER),
-        "beam_diameter_mm": LENGTH, "max_power_W": NUMBER,
-        "bounds_mm": bounds}, "objective")
+        "beam_diameter_mm": LENGTH, "bounds_mm": bounds}, "objective")
     return ObjectiveSpec(**given.pop("weights", {}),
                          **{_OBJECTIVE_FIELDS.get(key, key): value
                             for key, value in given.items()},

@@ -44,7 +44,8 @@ class DegenerateFit(MotKitError):
 
 
 class ObjectiveEvaluationError(MotKitError):
-    """Objective evaluation failed; the search treats this as +inf."""
+    """A design the search discards (conductors in the beams, a failed build
+    or a failed field analysis); the search scores it +inf."""
 
 
 class InfeasibleStart(MotKitError):

@@ -39,6 +39,10 @@ MAX_LENGTH = 1e3
 # amperes: upper bound on every current a config or a GeometrySpec gives,
 # far below the 1e154 A where a Joule power's I^2 overflows
 MAX_CURRENT = 1e6
+# ohm metres: upper bound on a material's resistivity, far above the metals'
+# 1e-8 to 1e-6; below it, only a vanishing cross-section makes a Joule power
+# overflow
+MAX_RESISTIVITY = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +123,9 @@ class Material:
     resistivity: float  # ohm * m
 
     def __post_init__(self):
-        if not (math.isfinite(self.resistivity) and self.resistivity > 0):
-            raise InvalidInput("resistivity must be positive and finite")
+        if not 0 < self.resistivity <= MAX_RESISTIVITY:
+            raise InvalidInput(f"resistivity must be positive and at most "
+                               f"{MAX_RESISTIVITY:g} ohm m")
 
 
 COPPER = Material("copper", 1.68e-8)

@@ -235,10 +235,18 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
     # lengths beyond MAX_LENGTH, which would overflow the field kernel
     (["analysis", "scan_halfrange_mm"], 1e300),
     (["analysis", "search_radius_mm"], 1e300),
-    # a power cap must be positive; the default is no cap
+    # a removed key: there is no power cap
     (["objective", "max_power_W"], -1),
     # current bounds beyond MAX_CURRENT, whose I^2 would overflow
     (["objective", "bounds_mm", "current"], [1.0, 1e160]),
+    # keys of settings that were removed: the ratio target is TARGET_RATIO,
+    # and there is no power cap
+    (["objective", "target_ratio"], [1, 1, -2]),
+    (["objective", "max_power_W"], None),
+    # below MIN_TARGET_GRADIENT, where the score's square would overflow
+    (["objective", "target_gradient_Gcm"], 1e-320),
+    # beyond MAX_RESISTIVITY, where the power would overflow
+    (["material", "resistivity_ohm_m"], 1e300),
 ])
 def test_malformed_config_is_exit_2(tmp_path, path, value):
     doc = coil_config(objective={
@@ -421,12 +429,10 @@ def _config(junky):
                 required={"resistivity_ohm_m": st.floats(1e-9, 1e-6)}))
     objective = section({
         "target_gradient_Gcm": st.floats(1.0, 30.0),
-        "target_ratio": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
         "weights": section({"w_mag": st.floats(0.0, 2.0),
                             "w_ratio": st.floats(0.0, 2.0),
                             "w_power": st.floats(0.0, 2.0)}),
-        "beam_diameter_mm": st.floats(1.0, 60.0),
-        "max_power_W": st.one_of(st.none(), st.floats(0.0, 300.0))},
+        "beam_diameter_mm": st.floats(1.0, 60.0)},
         required={"bounds_mm": section({"separation": bound, "current": bound},
                                        required={"radius": bound})})
     return st.fixed_dictionaries(

@@ -9,6 +9,8 @@ run below calls `motkit.cli.main` with the same argv against each tree, each
 in a fresh interpreter that writes no bytecode, and compares the exit code,
 standard output, standard error and every file written to `--out`:
 
+* `optimize` on the `anti_helmholtz` preset, the one preset with an
+  `objective` section;
 * `simulate` and `export` on each of the 4 bundled presets, and on the
   geometries no preset holds: an open and a closed FreePath round one
   square, and a closed FreePath round two squares with opposite senses;
@@ -80,6 +82,7 @@ def runs(config_dir: str):
     for preset in PRESETS:
         yield f"simulate-{preset}", ["simulate", "--config", preset]
         yield f"export-{preset}", ["export", "--config", preset]
+    yield "optimize-anti_helmholtz", ["optimize", "--config", "anti_helmholtz"]
     os.makedirs(config_dir)
     for name, doc in EXTRA_CONFIGS.items():
         config = os.path.join(config_dir, f"{name}.json")
