@@ -124,7 +124,8 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
 
     A |B| minimum need not be a zero: one whose |B| exceeds ZERO_TOLERANCE
     times ||J||·h of the last Newton stencil raises ZeroNotBracketed naming
-    that |B|.  An exact zero needs no Jacobian.
+    that |B|.  An exact zero at a stencil centre needs no Jacobian and no
+    further field call.
     """
     if not (search_radius > 0):
         raise InvalidInput("search radius must be positive")
@@ -132,10 +133,10 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     c = np.array(search_center, dtype=float)
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
     try:
-        p, m_c, stopped, stencils, jh = _newton(
+        p, m_c, stopped, stencils, jh, m = _newton(
             f, c, search_radius, lambda q: np.max(np.abs(q - c)) > inner)
         if stopped:
-            return _zero_result(f, "newton", p, c, m_c, stencils, jh)
+            return _zero_result(f, "newton", p, c, m_c, stencils, jh, m)
     except (SingularPoint, ZeroNotBracketed):
         pass
     return _grid_zero(f, c, search_radius)
@@ -166,9 +167,9 @@ def _grid_zero(f, c, search_radius) -> ZeroResult:
 
     best_p = grid[best]
     limit = search_radius * math.sqrt(3.0)
-    p, _, _, stencils, jh = _newton(f, best_p, search_radius,
-                                    lambda q: np.linalg.norm(q - c) > limit)
-    return _zero_result(f, "grid", p, best_p, best_m, stencils, jh)
+    p, _, _, stencils, jh, m = _newton(f, best_p, search_radius,
+                                       lambda q: np.linalg.norm(q - c) > limit)
+    return _zero_result(f, "grid", p, best_p, best_m, stencils, jh, m)
 
 
 def _newton(f, p, search_radius, outside):
@@ -177,8 +178,10 @@ def _newton(f, p, search_radius, outside):
 
     Returns the last iterate, |B| at p, whether the steps ended on the stop
     rule (|B| == 0, or a step under 1e-13 m) rather than on a singular
-    Jacobian or the 60-step limit, the number of stencils evaluated, and
-    ||J||·h of the last Jacobian (0 if none was formed).  Raises
+    Jacobian or the 60-step limit, the number of stencils evaluated,
+    ||J||·h of the last Jacobian (0 if none was formed), and |B| at the last
+    iterate if a stencil measured it (0.0 at an exact zero, whose stencil
+    centre is the iterate) or None.  Raises
     SingularPoint at a NaN stencil row around a non-zero field, and
     ZeroNotBracketed at an iterate q for which `outside(q)` holds.
     """
@@ -191,13 +194,13 @@ def _newton(f, p, search_radius, outside):
         if i == 0:
             m_start = m
         if m == 0.0:
-            return p, m_start, True, i + 1, jh
+            return p, m_start, True, i + 1, jh, 0.0
         J = _central_jacobian(_regular(B, "Newton stencil"), h)
         jh = float(np.linalg.norm(J)) * h
         try:
             step = np.linalg.solve(J, B[0])
         except np.linalg.LinAlgError:
-            return p, m_start, False, i + 1, jh
+            return p, m_start, False, i + 1, jh, None
         norm = np.linalg.norm(step)
         if norm > cap:
             step *= cap / norm
@@ -205,15 +208,18 @@ def _newton(f, p, search_radius, outside):
         if outside(p):
             raise ZeroNotBracketed("zero refinement left the search region")
         if norm < 1e-13:
-            return p, m_start, True, i + 1, jh
-    return p, m_start, False, 60, jh
+            return p, m_start, True, i + 1, jh, None
+    return p, m_start, False, 60, jh, None
 
 
-def _zero_result(f, method, p, start, m_start, stencils, jh) -> ZeroResult:
+def _zero_result(f, method, p, start, m_start, stencils, jh,
+                 m=None) -> ZeroResult:
     """The ZeroResult at p if its |B| is at most `m_start`, the |B| at
     `start`, and at `start` otherwise; ZeroNotBracketed if that |B| exceeds
-    ZERO_TOLERANCE times `jh`, the last stencil's ||J||·h."""
-    m = float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0]))
+    ZERO_TOLERANCE times `jh`, the last stencil's ||J||·h.  `m` is |B| at p
+    if already known; otherwise one field call measures it."""
+    if m is None:
+        m = float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0]))
     if m > m_start:
         p, m = start, m_start
     if m > ZERO_TOLERANCE * jh:

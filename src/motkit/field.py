@@ -39,10 +39,39 @@ EPS_SING = 1e-7              # m: singular tube radius around each filament
 _CHUNK_PAIRS = 8192          # point-segment pairs per kernel chunk
 
 CSV_HEADER = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G"
-_CSV_ROW = "%.9e," * 6 + "%.9e\n"
-# rows per %-format: bounds the tuple of Python floats that one format takes,
-# so a map's CSV peaks no higher than the text itself
-_CSV_BLOCK = 256
+# rows per rendered block: the writer's scratch is about 60 bytes per value,
+# so about 0.2 MB at this size
+_CSV_BLOCK = 512
+# bytes per value in a block: sign or pad, digit, '.', nine digits, 'e',
+# exponent sign, two exponent digits, pad, then ',' or '\n'; a value that
+# '%.9e' renders itself fills the first _CSV_TEXT bytes, padded
+_CSV_SLOT = 18
+_CSV_TEXT = _CSV_SLOT - 1
+# a rounding decision closer than this to a tie goes to '%.9e'; the float64
+# scaled mantissa is within about 3e-6 of the exact one
+_CSV_TIE_MARGIN = 1e-4
+
+
+def _csv_words(texts):
+    """Four-byte strings as little-endian uint32 words."""
+    return np.frombuffer("".join(texts).encode("ascii"), "<u4")
+
+
+# Each slot is written as five uint32 words, at offsets 0, 3, 6, 9 and 13.
+# The first four overlap by one byte and are written in that order, so the
+# next word overwrites each one's junk fourth byte.  The head is indexed by
+# 2 * lead digit + negative, where a lead of 10 is a mantissa that rounded
+# up to 1e10.
+_CSV_HEAD = _csv_words(sign + ("1" if lead == 10 else str(lead)) + ".\0"
+                       for lead in range(11) for sign in ("\0", "-"))
+_CSV_DIGITS = _csv_words("%03d\0" % i for i in range(1000))
+_CSV_DIGITS_E = _csv_words("%03de" % i for i in range(1000))
+_CSV_EXPONENT = _csv_words("%+03d\0" % e for e in range(-99, 100))
+# 10^(9 - e) at index e + _CSV_SCALE_MID, for every estimate e of a
+# two-digit exponent; other estimates are clipped to the ends and fall back
+_CSV_SCALE_MID = 110
+_CSV_SCALE = np.array([float("1e%d" % (9 - e))
+                       for e in range(-_CSV_SCALE_MID, _CSV_SCALE_MID + 1)])
 
 
 def _distance_to_segments(p, starts, ends):
@@ -223,8 +252,126 @@ def sample_plane(segments: SegmentList, center, axis1, axis2, half_range,
 
 
 def field_map_csv(fmap: FieldMap) -> str:
-    """CSV rendering: x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G (gaps as nan)."""
-    rows = np.column_stack([fmap.positions, fmap.B, fmap.magnitude * 1e4])
-    blocks = (rows[i:i + _CSV_BLOCK] for i in range(0, len(rows), _CSV_BLOCK))
-    return CSV_HEADER + "\n" + "".join(
-        _CSV_ROW * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+    """CSV rendering: x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G (gaps as nan).
+
+    Every value reads exactly as `'%.9e' % value`.  Rows are rendered in
+    blocks of at most _CSV_BLOCK into scratch allocated once per call, and
+    each block's text is appended to the result, which CPython grows in
+    place, so the text is never held twice.
+    """
+    count = len(fmap.positions)
+    rows = max(1, min(count, _CSV_BLOCK))
+    values = np.empty((rows, 7))
+    squares = np.empty((rows, 3))
+    block = _CsvBlock(7 * rows)
+    text = CSV_HEADER + "\n"
+    for start in range(0, count, _CSV_BLOCK):
+        B = fmap.B[start:start + _CSV_BLOCK]
+        t = B.shape[0]
+        v = values[:t]
+        v[:, :3] = fmap.positions[start:start + _CSV_BLOCK]
+        v[:, 3:6] = B
+        # |B| in gauss, as FieldMap.magnitude * 1e4 computes it
+        mag = v[:, 6]
+        np.multiply(B, B, out=squares[:t])
+        np.add.reduce(squares[:t], axis=1, out=mag)
+        np.sqrt(mag, out=mag)
+        mag *= 1e4
+        text += block.render(v.reshape(-1))
+    return text
+
+
+class _CsvBlock:
+    """Scratch for rendering up to `size` values, seven to a row, as
+    `'%.9e'` text.
+
+    Each value gets a _CSV_SLOT-byte slot.  The sign, the decimal exponent e
+    and the ten-digit mantissa M = round(|x| 10^(9 - e)) come from float64
+    arithmetic, and the digits from tables.  Values the estimate cannot
+    decide (a rounding within _CSV_TIE_MARGIN of a tie), three-digit
+    exponents, nan and +-inf are rendered by '%.9e' into their slot
+    instead.  Pads are NUL bytes, dropped from the block's text.
+    """
+
+    def __init__(self, size: int):
+        self.slots = np.empty((size // 7, 7, _CSV_SLOT), np.uint8)
+        self.slots[:, :, -1] = ord(",")
+        self.slots[:, -1, -1] = ord("\n")
+        self.slots = self.slots.reshape(size, _CSV_SLOT)
+        self.words = [np.ndarray((size,), "<u4", self.slots, offset,
+                                 (_CSV_SLOT,)) for offset in (0, 3, 6, 9, 13)]
+        self.floats = np.empty((3, size))
+        self.ints = np.empty((2, size), np.int32)
+        self.flags = np.empty((2, size), bool)
+
+    def render(self, x) -> str:
+        n = x.shape[0]
+        a, s, m = self.floats[:, :n]
+        e, k = self.ints[:, :n]
+        bad, flag = self.flags[:, :n]
+        head, d1, d2, d3, exponent = (w[:n] for w in self.words)
+        with np.errstate(invalid="ignore"):
+            np.abs(x, out=a)
+            # e = floor(log10 |x|) or one less: floor((e2 - 1) log10 2) for
+            # |x| in [2^(e2 - 1), 2^e2), and -1 at 0
+            np.frexp(a, out=(s, e))
+            e -= 1
+            e *= 78913
+            e >>= 18
+            np.add(e, _CSV_SCALE_MID, out=k)
+            np.take(_CSV_SCALE, k, out=s, mode="clip")
+            s *= a
+            np.greater_equal(s, 1e10, out=flag)
+            e += flag
+            k += flag
+            np.take(_CSV_SCALE, k, out=s, mode="clip")
+            s *= a
+            np.rint(s, out=m)
+            # s - m is exact; nan and +-inf leave it nan
+            s -= m
+            np.abs(s, out=s)
+            np.less_equal(s, 0.5 - _CSV_TIE_MARGIN, out=bad)
+            np.logical_not(bad, out=bad)
+            # a mantissa that rounded up to 1e10 is 1.000000000e(e + 1)
+            np.greater_equal(m, 1e10, out=flag)
+            e += flag
+            np.equal(a, 0.0, out=flag)
+            e += flag
+            np.abs(e, out=k)
+            np.greater(k, 99, out=flag)
+            bad |= flag
+            np.add(e, 99, out=k)
+            np.take(_CSV_EXPONENT, k, out=exponent, mode="clip")
+            # the digits of M, split exactly in float64: M = 1e6 hi + lo
+            np.divide(m, 1e6, out=s)
+            np.floor(s, out=s)
+            np.multiply(s, 1e6, out=a)
+            m -= a
+            np.divide(s, 1e3, out=a)
+            np.floor(a, out=a)
+            np.copyto(k, a, casting="unsafe")
+            k += k
+            np.signbit(x, out=flag)
+            k += flag
+            np.take(_CSV_HEAD, k, out=head, mode="clip")
+            a *= 1e3
+            s -= a
+            np.copyto(k, s, casting="unsafe")
+            np.take(_CSV_DIGITS, k, out=d1, mode="clip")
+            np.divide(m, 1e3, out=s)
+            np.floor(s, out=s)
+            np.copyto(k, s, casting="unsafe")
+            np.take(_CSV_DIGITS, k, out=d2, mode="clip")
+            s *= 1e3
+            m -= s
+            np.copyto(k, m, casting="unsafe")
+            np.take(_CSV_DIGITS_E, k, out=d3, mode="clip")
+        slots = self.slots[:n]
+        fallback = np.flatnonzero(bad)
+        if fallback.size:
+            texts = b"".join(
+                ("%.9e" % value).encode("ascii").ljust(_CSV_TEXT, b"\0")
+                for value in x[fallback].tolist())
+            slots[fallback, :_CSV_TEXT] = np.frombuffer(
+                texts, np.uint8).reshape(-1, _CSV_TEXT)
+        return slots.tobytes().translate(None, b"\0").decode("ascii")

@@ -23,6 +23,9 @@ from .power import PowerReport, power_report
 # G/cm: lower bound on target_gradient.  With the weakest-axis gradient g
 # near 15 G/cm, the score's ((g - G)/G)^2 overflows only below G ~ 1e-153
 MIN_TARGET_GRADIENT = 1e-6
+# upper bound on each weight.  The presets and benchmark workloads weigh
+# their terms between 0 and 1; a weight of 1e308 overflowed the score
+MAX_WEIGHT = 1e6
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,9 @@ class ObjectiveSpec:
                                f"{MIN_TARGET_GRADIENT:g} G/cm")
         if not (math.isfinite(self.beam_diameter) and self.beam_diameter > 0):
             raise InvalidInput("beam diameter must be positive and finite")
-        if not all(math.isfinite(w) and w >= 0
+        if not all(0 <= w <= MAX_WEIGHT
                    for w in (self.w_mag, self.w_ratio, self.w_power)):
-            raise InvalidInput("weights must be non-negative and finite")
+            raise InvalidInput(f"weights must be between 0 and {MAX_WEIGHT:g}")
         if max(self.w_mag, self.w_ratio, self.w_power) == 0:
             raise InvalidInput("at least one weight must be positive")
         for name, (lo, hi) in self.bounds.items():

@@ -56,10 +56,19 @@ def test_a_minimum_that_is_not_a_zero_raises():
 
 
 def test_an_exact_zero_needs_no_jacobian():
-    # B = 0 exactly at the origin, where dB_z/dz = 0 makes J singular
-    result = mk.find_field_zero(lambda p: np.array([p[0], p[1], p[2] ** 2]))
+    # B = 0 exactly at the origin, where dB_z/dz = 0 makes J singular; the
+    # first stencil's centre is that zero, so no point beyond it is evaluated
+    points = []
+
+    def field(p):
+        points.append(p)
+        return np.array([p[0], p[1], p[2] ** 2])
+
+    result = mk.find_field_zero(field)
     assert result.position.tolist() == [0.0, 0.0, 0.0]
     assert result.residual == 0.0
+    assert (result.method, result.iterations) == ("newton", 1)
+    assert len(points) == 7
 
 
 def test_zero_outside_region_raises():

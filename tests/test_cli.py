@@ -247,6 +247,8 @@ def test_unknown_preset_name_is_exit_2(tmp_path):
     (["objective", "target_gradient_Gcm"], 1e-320),
     # beyond MAX_RESISTIVITY, where the power would overflow
     (["material", "resistivity_ohm_m"], 1e300),
+    # beyond MAX_WEIGHT, where the weighted power would overflow
+    (["objective", "weights", "w_power"], 1e308),
 ])
 def test_malformed_config_is_exit_2(tmp_path, path, value):
     doc = coil_config(objective={

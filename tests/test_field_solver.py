@@ -1,5 +1,7 @@
 """Analytic oracles and sampler behaviour for the Biot-Savart solver."""
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import motkit as mk
 from motkit.cli import export_obj, import_obj
 from motkit.errors import EmptySample, InvalidInput, SingularPoint
-from motkit.field import _CHUNK_PAIRS, _CSV_BLOCK
+from motkit.field import _CHUNK_PAIRS, _CSV_BLOCK, _CsvBlock
 from motkit.geometry import MAX_LENGTH
 
 
@@ -147,6 +149,81 @@ def test_csv_is_byte_identical_to_the_per_row_format():
         in zip(fmap.positions, fmap.B, fmap.magnitude * 1e4))
     assert "nan" in expected
     assert mk.field_map_csv(fmap) == expected
+
+
+def assert_reads_as_per_value_format(values):
+    """The writer's text for a run of values, seven to a row, equals
+    '%.9e' % value for each value; a failure lists the values that differ."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    text = _CsvBlock(values.size).render(values)
+    fields = ["%.9e" % v for v in values.tolist()]
+    expected = "".join(",".join(fields[i:i + 7]) + "\n"
+                       for i in range(0, len(fields), 7))
+    if text != expected:
+        written = re.split("[,\n]", text)
+        differ = [(v, w, f)
+                  for v, w, f in zip(values.tolist(), written, fields) if w != f]
+        pytest.fail(f"{len(differ)} values differ (value, written, '%.9e'): "
+                    f"{differ[:5]}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                   allow_subnormal=True),
+                         min_size=7, max_size=7),
+                min_size=1, max_size=8))
+def test_csv_values_read_as_the_per_value_format(rows):
+    assert_reads_as_per_value_format(rows)
+
+
+def hard_values():
+    """Values where an estimate of the decimal rounding could go wrong."""
+    rng = np.random.default_rng(3)
+    k = rng.integers(10 ** 9, 10 ** 10, 200).astype(float)
+    e = rng.integers(-99, 100, 200)
+    # the midpoints (k + 0.5) 10^(e - 9) and up to 4 ulp either side
+    middles = (k + 0.5) * 10.0 ** (e - 9).astype(float)
+    tens = np.array([float("1e%d" % i) for i in range(-101, 102)])
+    centres = np.concatenate([
+        middles, tens, 9.9999999995 * tens, [9.9999999995e-5],
+        # exact binary ties of the tenth digit
+        [12345678905.0, 1234567890.5, 9999999999.5, 98765432105.0],
+        # every binary exponent, subnormals included
+        np.ldexp(1.0, np.arange(-1074, 1024))])
+    near = [centres]
+    with np.errstate(over="ignore"):
+        for towards in (0.0, np.inf):
+            step = centres
+            for _ in range(4):
+                step = np.nextafter(step, towards)
+                near.append(step)
+    special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+               5e-324, 1e99, 1e-99, 1e100, 1e-100, 1.7976931348623157e308]
+    values = np.concatenate(near + [special])
+    values = np.concatenate([values, -values])
+    return np.concatenate([values, np.zeros(-len(values) % 7)])
+
+
+def test_csv_hard_values_read_as_the_per_value_format():
+    values = hard_values()
+    # a block of the writer's size, then the rest in shorter ones
+    for start in range(0, len(values), 7 * _CSV_BLOCK):
+        assert_reads_as_per_value_format(values[start:start + 7 * _CSV_BLOCK])
+
+
+def test_csv_temporaries_stay_under_half_a_megabyte():
+    # an 81 x 81 plane: the writer's scratch is bounded by its block size,
+    # and the text is never held twice
+    segs = mk.build(mk.GeometrySpec("AntiHelmholtz", {}, 24))
+    fmap = mk.sample_plane(segs, (0, 0, 0), (1, 0, 0), (0, 1, 0), 0.01, 81)
+    tracemalloc.start()
+    try:
+        text = mk.field_map_csv(fmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 5e5
+    assert peak - sys.getsizeof(text) < 5e5
 
 
 def test_direction_must_be_nonzero():

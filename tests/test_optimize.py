@@ -80,10 +80,12 @@ def test_beam_intrusion_is_a_discarded_evaluation():
 
 
 def test_objective_validation():
+    cap = mk.optimize.MAX_WEIGHT
     for weight in ("w_mag", "w_ratio", "w_power"):
-        for bad in (-1.0, math.inf):
+        for bad in (-1.0, math.inf, math.nan, 1e308, cap * (1 + 1e-15)):
             with pytest.raises(InvalidInput):
                 mk.ObjectiveSpec(**{weight: bad})
+        assert getattr(mk.ObjectiveSpec(**{weight: cap}), weight) == cap
     with pytest.raises(InvalidInput):
         mk.ObjectiveSpec(w_mag=0.0, w_ratio=0.0, w_power=0.0)
     with pytest.raises(InvalidInput):
@@ -136,7 +138,8 @@ def test_budget_cut_inside_a_shrink_reports_an_evaluated_pair(monkeypatch):
 def test_an_evaluation_takes_three_kernel_calls(monkeypatch):
     # the optimize-coil24 start design: the zero finder's one stencil and its
     # one-point check of |B| (whose zero test reuses that stencil), then the
-    # three 41-sample fit axes
+    # three 41-sample fit axes.  |B| at the centre is about 6e-20 T, not 0,
+    # so Newton stops on its step rule and the check is needed
     calls = []
 
     def counted(segments, points):
