@@ -148,7 +148,14 @@ def test_csv_is_byte_identical_to_the_per_row_format():
         for (x, y, z), (bx, by, bz), bm
         in zip(fmap.positions, fmap.B, fmap.magnitude * 1e4))
     assert "nan" in expected
-    assert mk.field_map_csv(fmap) == expected
+    written = mk.field_map_csv(fmap).split("\n")
+    wanted = expected.split("\n")
+    differ = [(i, w, e) for i, (w, e) in enumerate(zip(written, wanted))
+              if w != e]
+    if differ or len(written) != len(wanted):
+        pytest.fail(f"{len(written)} lines written, {len(wanted)} expected; "
+                    f"{len(differ)} rows differ (index, written, expected): "
+                    f"{differ[:3]}")
 
 
 def assert_reads_as_per_value_format(values):
@@ -230,6 +237,29 @@ def test_direction_must_be_nonzero():
     segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
     with pytest.raises(InvalidInput):
         mk.sample_line(segs, (0, 0, 0), (0, 0, 0), 0.01, 5)
+
+
+@pytest.mark.parametrize("center, direction, half_range", [
+    ((0, 0, 0), (1, 0, 0), math.nan),
+    ((0, 0, 0), (1, 0, 0), math.inf),
+    ((0, math.nan, 0), (1, 0, 0), 0.01),
+    ((0, 0, 0), (1, 0, -math.inf), 0.01),
+])
+def test_non_finite_sampler_input_is_invalid(center, direction, half_range):
+    segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
+    with pytest.raises(InvalidInput, match="finite"):
+        mk.sample_line(segs, center, direction, half_range, 5)
+    with pytest.raises(InvalidInput, match="finite"):
+        mk.sample_plane(segs, center, direction, (0, 1, 0), half_range, 5)
+
+
+def test_non_finite_field_point_is_invalid():
+    segs = mk.make_free_path([(0, 0, -1), (0, 0, 1)], 1.0)
+    for p in ([math.nan, 0, 0], [0, math.inf, 0]):
+        with pytest.raises(InvalidInput, match="finite"):
+            mk.field_at(segs, p)
+        with pytest.raises(InvalidInput, match="finite"):
+            mk.field_many(segs, [[0.1, 0, 0], p])
 
 
 def test_field_point_must_be_vector():
@@ -442,6 +472,87 @@ def test_field_many_is_bitwise_equal_to_the_reference_property(polylines,
     assert_bitwise_equal_to_the_reference(segs, np.array(raw_points))
 
 
+# the maps `motkit simulate` writes: three axis scans and three planes
+SCANS = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+PLANES = (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)),
+          ((0, 0, 1), (0, 1, 0)))
+
+
+def assert_map_is_bitwise_the_reference(segs, center, axes, half_range, n,
+                                        grid=True):
+    """The map sampled at each block size equals `reference_field` at its
+    positions bitwise, and takes the grid form if `grid`, the per-point
+    form of `field_many` otherwise."""
+    sample = mk.sample_line if len(axes) == 1 else mk.sample_plane
+    calls = []
+
+    def field_many(*args):
+        calls.append(args)
+        return mk.field_many(*args)
+
+    expected = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mk.field, "field_many", field_many)
+        for chunk in (1, 7, _CHUNK_PAIRS):
+            mp.setattr(mk.field, "_CHUNK_PAIRS", chunk)
+            fmap = sample(segs, center, *axes, half_range, n)
+            if expected is None:
+                expected = reference_field(segs, fmap.positions)
+            assert fmap.B.tobytes() == expected.tobytes(), (axes, chunk)
+    assert len(calls) == (0 if grid else 3), axes
+    return expected
+
+
+@pytest.mark.parametrize("variant", PRESETS)
+def test_preset_maps_are_bitwise_the_reference(variant):
+    # each map of `motkit simulate` at the presets' analysis settings: 101
+    # scan and 21 x 21 plane samples over +-5 mm round the field zero
+    segs = mk.build(mk.GeometrySpec(variant))
+    zero = mk.find_field_zero(segs).position
+    for axes in SCANS:
+        assert_map_is_bitwise_the_reference(segs, zero, axes, 5e-3, 101)
+    for axes in PLANES:
+        assert_map_is_bitwise_the_reference(segs, zero, axes, 5e-3, 21)
+
+
+def test_even_maps_are_bitwise_the_reference():
+    # an even count puts no sample on the zero itself
+    segs = mk.build(mk.GeometrySpec("TwoPiece", segments_per_turn=24))
+    zero = mk.find_field_zero(segs).position
+    for axes in SCANS + PLANES:
+        assert_map_is_bitwise_the_reference(segs, zero, axes, 4e-3, 20)
+
+
+def test_maps_off_the_grid_form_are_bitwise_the_reference():
+    segs = mk.build(mk.GeometrySpec("AntiHelmholtz", segments_per_turn=24))
+    centre = (1e-3, -2e-3, 5e-4)
+    # x and y vary with the row only and z with the column only, bitwise,
+    # so this oblique plane is still a grid
+    assert_map_is_bitwise_the_reference(
+        segs, centre, ((1, 1, 0), (0, 0, 1)), 3e-3, 9)
+    # y = c + u s_i + v s_j varies with both indices
+    assert_map_is_bitwise_the_reference(
+        segs, centre, ((1, 1, 0), (0, 1, 1)), 3e-3, 9, grid=False)
+    # -0.0 + s 0.0 is -0.0 or 0.0 with the sign of s, so the coordinate
+    # that neither axis moves varies with the row, and then with the column
+    for axes in PLANES:
+        assert_map_is_bitwise_the_reference(
+            segs, (-0.0, -0.0, -0.0), axes, 3e-3, 9, grid=False)
+
+
+def test_vertex_hitting_planes_are_bitwise_the_reference():
+    # the benchmark's field-map geometry: 81 x 81 planes over +-50 mm hit
+    # the coil vertices at (+-50, 0, +-25) and (0, +-50, +-25) mm, which
+    # give NaN rows
+    segs = mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": 0.05, "separation": 0.05,
+                          "current": 100.0}))
+    zero = mk.find_field_zero(segs).position
+    for axes in PLANES[1:]:
+        B = assert_map_is_bitwise_the_reference(segs, zero, axes, 0.05, 81)
+        assert np.isnan(B[:, 0]).sum() == 4
+
+
 @pytest.mark.parametrize("length", [1e-6, MAX_LENGTH])
 def test_singular_screen_at_extreme_lengths(length):
     eps = mk.EPS_SING
@@ -483,6 +594,21 @@ def test_field_many_temporaries_stay_under_2_mb(variant, n):
     finally:
         tracemalloc.stop()
     assert peak - B.nbytes < 2e6
+
+
+@pytest.mark.parametrize("variant, n", [("AntiHelmholtz", 81),
+                                        ("TwoPiece", 21)])
+def test_sample_plane_temporaries_stay_under_2_mb(variant, n):
+    # the grid form's tables and block scratch stay within the same bound
+    segs = mk.build(mk.GeometrySpec(variant))
+    for axes in PLANES:
+        tracemalloc.start()
+        try:
+            fmap = mk.sample_plane(segs, (1e-4, -2e-4, 3e-4), *axes, 5e-3, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - fmap.B.nbytes - fmap.positions.nbytes < 2e6, axes
 
 
 def test_field_many_nan_rows_exactly_within_eps_sing():

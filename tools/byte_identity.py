@@ -13,7 +13,8 @@ standard output, standard error and every file written to `--out`:
   `objective` section;
 * `simulate` and `export` on each of the 4 bundled presets, and on the
   geometries no preset holds: an open and a closed FreePath round one
-  square, and a closed FreePath round two squares with opposite senses;
+  square, and a closed FreePath round two squares with opposite senses,
+  once centred and once shifted off the centre with even map sizes;
 * `simulate` and `export` of TwistedCage, CompactFour and TwoPiece at 24
   segments per turn, so that each builder runs at a second resolution;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
@@ -57,6 +58,14 @@ EXTRA_CONFIGS = {
     "free_path_pair": {"geometry": {
         "variant": "FreePath",
         "parameters": {"points": SQUARE_PAIR, "closed": True, "current": 5}}},
+    # the pair off the centre, so that a map's constant coordinates are not
+    # zero, and with even sample counts, so that no sample lies on the zero
+    "free_path_pair_offset": {
+        "geometry": {"variant": "FreePath", "parameters": {
+            "points": [[x + 1.25, y - 0.75, z + 1.5]
+                       for x, y, z in SQUARE_PAIR],
+            "closed": True, "current": 5}},
+        "analysis": {"plane_points": 20, "scan_points": 40}},
     **{f"{name}_spt24": {"geometry": {
         "variant": variant, "discretization": {"segments_per_turn": 24}}}
        for name, variant in (("twisted_cage", "TwistedCage"),
