@@ -1,9 +1,11 @@
 """Field-zero location, gradient fits, and MOT suitability checks.
 
-Accepts either a SegmentList or any callable p -> B (tesla); the callable
-form is what the synthetic-field tests use.  Every analysis evaluates its
-points in one batched call: each Newton step's seven-point stencil, the
-zero finder's fallback grid and the three axis scans of a gradient fit.
+Accepts either a SegmentList or a batched field callable, which maps
+points (N, 3) in metres to B (N, 3) in tesla with NaN rows at singular
+points, as `field_many` does; the callable form is what the synthetic-field
+tests use.  Every analysis evaluates its points in one batched call: each
+Newton step's seven-point stencil, the zero finder's fallback grid and the
+three axis scans of a gradient fit.
 """
 from __future__ import annotations
 
@@ -40,23 +42,13 @@ LINEARITY_MAX = 0.1
 
 
 def as_field(source):
-    """Normalise a SegmentList or callable p -> B into a batched function
-    points (N, 3) -> B (N, 3) with NaN rows at singular points."""
+    """A SegmentList as the batched function points (N, 3) -> B (N, 3),
+    with NaN rows at singular points; a callable is taken to be one."""
     if isinstance(source, SegmentList):
         return lambda points: field_many(source, points)
     if not callable(source):
         raise InvalidInput("expected a SegmentList or a field callable")
-
-    def rows(points):
-        out = np.empty((len(points), 3))
-        for i, p in enumerate(points):
-            try:
-                out[i] = source(p)
-            except SingularPoint:
-                out[i] = np.nan
-        return out
-
-    return rows
+    return source
 
 
 def _regular(B, what: str) -> np.ndarray:

@@ -125,7 +125,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: json.load on deeply nested arrays or objects
         raise InvalidInput(f"cannot read config {path}: {exc}") from exc
     doc = read_fields(doc, dict.fromkeys(
         ("geometry", "analysis", "material", "objective")), "config")
@@ -274,33 +275,6 @@ def export_obj(segments: SegmentList) -> str:
         lines += [f"l {i} {j}" for i, j in zip(ids[:len(part)], ids[len(part):])]
         offset += len(index)
     return "\n".join(lines) + "\n"
-
-
-def import_obj(text: str, currents: dict | None = None) -> SegmentList:
-    """Rebuild a SegmentList from an exported OBJ.
-
-    `currents` maps group name to the current each segment in that group
-    carries (default 1 A); the export format itself is geometry-only.
-    """
-    vertices, starts, ends, amps, group_ids = [], [], [], [], []
-    group = "default"
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "o":
-            group = parts[1]
-        elif parts[0] == "v":
-            vertices.append([float(c) * 1e-3 for c in parts[1:4]])
-        elif parts[0] == "l":
-            i, j = int(parts[1]), int(parts[2])
-            starts.append(vertices[i - 1])
-            ends.append(vertices[j - 1])
-            amps.append((currents or {}).get(group, 1.0))
-            group_ids.append(group)
-    if not group_ids:
-        raise InvalidInput("no line elements in OBJ input")
-    return SegmentList(starts, ends, amps, group_ids)
 
 
 def cmd_export(args) -> int:

@@ -418,10 +418,6 @@ class FieldMap:
     positions: np.ndarray  # (N, 3) m
     B: np.ndarray          # (N, 3) tesla, NaN rows are singular gaps
 
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.linalg.norm(self.B, axis=1)
-
 
 def _sample(segments, center, axes, half_range, n) -> FieldMap:
     """Row-major grid of n points per axis on center +- half_range * axes[i],
@@ -500,7 +496,7 @@ def field_map_csv(fmap: FieldMap) -> str:
         v = values[:t]
         v[:, :3] = fmap.positions[start:start + _CSV_BLOCK]
         v[:, 3:6] = B
-        # |B| in gauss, as FieldMap.magnitude * 1e4 computes it
+        # |B| in gauss, as np.linalg.norm(B, axis=1) * 1e4 computes it
         mag = v[:, 6]
         np.multiply(B, B, out=squares[:t])
         np.add.reduce(squares[:t], axis=1, out=mag)

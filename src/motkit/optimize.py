@@ -61,8 +61,8 @@ class ObjectiveSpec:
 class OptResult:
     best_parameters: dict
     best_objective: float
-    gradient_report: GradientReport | None
-    power_report: PowerReport | None
+    gradient_report: GradientReport
+    power_report: PowerReport
     evaluations: int
     converged: bool
     trace: tuple   # rows of (evaluation index, objective, params dict)
@@ -71,10 +71,8 @@ class OptResult:
         return {
             "best_parameters": dict(self.best_parameters),
             "best_objective": self.best_objective,
-            "gradient_report": (self.gradient_report.to_json_dict()
-                                if self.gradient_report else None),
-            "power_report": (self.power_report.to_json_dict()
-                             if self.power_report else None),
+            "gradient_report": self.gradient_report.to_json_dict(),
+            "power_report": self.power_report.to_json_dict(),
             "evaluations": self.evaluations,
             "converged": self.converged,
         }
@@ -219,18 +217,15 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
         pass
 
     # best point seen anywhere in the trace; f0 is finite, and a sorted
-    # simplex keeps its best vertex, so some vertex is finite
-    finite = [(v, x) for x, v in zip(simplex, values) if math.isfinite(v)]
-    best_x = min(finite, key=lambda t: t[0])[1]
-    best_v = min(values)
-    best_spec = initial.replace_parameters(**dict(zip(names, best_x.tolist())))
-    try:
-        greport, preport = evaluate_design(best_spec, obj, material)
-    except ObjectiveEvaluationError:
-        greport, preport = None, None
+    # simplex keeps its best vertex, so the first least value is finite.
+    # evaluate_design is deterministic and succeeded there, so it does again
+    best = int(np.argmin(values))
+    best_parameters = dict(zip(names, simplex[best].tolist()))
+    greport, preport = evaluate_design(
+        initial.replace_parameters(**best_parameters), obj, material)
     return OptResult(
-        best_parameters=dict(zip(names, best_x.tolist())),
-        best_objective=float(best_v),
+        best_parameters=best_parameters,
+        best_objective=float(values[best]),
         gradient_report=greport,
         power_report=preport,
         evaluations=len(trace),

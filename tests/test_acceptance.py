@@ -165,8 +165,7 @@ def test_criterion_10_optimizer_oracle():
 
 def test_criterion_11_synthetic_linear_field():
     m = np.diag([0.009, 0.0092, -0.0176])  # T/m
-    rep = mk.fit_gradients(lambda p: m @ np.asarray(p, dtype=float),
-                           np.zeros(3))
+    rep = mk.fit_gradients(lambda points: points @ m.T, np.zeros(3))
     expected = np.diag(m) * GCM
     rel = np.max(np.abs(rep.g - expected) / np.abs(expected))
     assert rel < 1e-10

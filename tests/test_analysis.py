@@ -8,13 +8,14 @@ import pytest
 import motkit as mk
 from motkit import analysis, cli
 from motkit.errors import (DegenerateFit, InvalidInput, MotKitError,
-                           SingularPoint, ZeroNotBracketed)
+                           ZeroNotBracketed)
 
 
 def linear_field(matrix, offset=np.zeros(3)):
+    """The batched field points (N, 3) -> B (N, 3) of B = m (p - offset)."""
     m = np.asarray(matrix, dtype=float)
     off = np.asarray(offset, dtype=float)
-    return lambda p: m @ (np.asarray(p, dtype=float) - off)
+    return lambda points: (points - off) @ m.T
 
 
 QUADRUPOLE = np.diag([0.009, 0.0092, -0.0176])  # T/m, slopes typical of a compact trap
@@ -47,8 +48,9 @@ def test_find_zero_on_anti_helmholtz():
 
 def test_a_minimum_that_is_not_a_zero_raises():
     # |B| is least at the origin, 1 G there; no Newton step moves off it
-    def biased(p):
-        return np.array([p[0], p[1], 1e-4 + p[2] ** 2])
+    def biased(points):
+        x, y, z = points.T
+        return np.stack([x, y, 1e-4 + z ** 2], axis=1)
 
     with pytest.raises(ZeroNotBracketed, match=r"\|B\| = 1 G") as info:
         mk.find_field_zero(biased)
@@ -58,17 +60,18 @@ def test_a_minimum_that_is_not_a_zero_raises():
 def test_an_exact_zero_needs_no_jacobian():
     # B = 0 exactly at the origin, where dB_z/dz = 0 makes J singular; the
     # first stencil's centre is that zero, so no point beyond it is evaluated
-    points = []
+    rows = []
 
-    def field(p):
-        points.append(p)
-        return np.array([p[0], p[1], p[2] ** 2])
+    def field(points):
+        rows.append(len(points))
+        x, y, z = points.T
+        return np.stack([x, y, z ** 2], axis=1)
 
     result = mk.find_field_zero(field)
     assert result.position.tolist() == [0.0, 0.0, 0.0]
     assert result.residual == 0.0
     assert (result.method, result.iterations) == ("newton", 1)
-    assert len(points) == 7
+    assert sum(rows) == 7
 
 
 def test_zero_outside_region_raises():
@@ -157,10 +160,11 @@ def test_singular_centre_falls_back_to_grid():
     offset = np.array(OFF_CENTRE)
     quadrupole = linear_field(QUADRUPOLE, offset)
 
-    def field(p):
-        if np.linalg.norm(p) < 0.2e-3:
-            raise SingularPoint("conductor at the origin")
-        return quadrupole(p)
+    def field(points):
+        # NaN rows: a conductor at the origin
+        B = quadrupole(points)
+        B[np.linalg.norm(points, axis=1) < 0.2e-3] = np.nan
+        return B
 
     result = mk.find_field_zero(field)
     assert np.linalg.norm(result.position - offset) < 1e-9
@@ -170,16 +174,16 @@ def test_singular_centre_falls_back_to_grid():
 def test_finder_skips_the_grid():
     offset = np.array([0.4e-3, -0.7e-3, 1.1e-3])
     quadrupole = linear_field(QUADRUPOLE, offset)
-    calls = []
+    rows = []
 
-    def field(p):
-        calls.append(p)
-        return quadrupole(p)
+    def field(points):
+        rows.append(len(points))
+        return quadrupole(points)
 
     result = mk.find_field_zero(field)
     assert np.linalg.norm(result.position - offset) < 1e-9
     assert result.method == "newton"
-    assert len(calls) < 100     # the 11^3 grid alone is 1331 points
+    assert sum(rows) < 100     # the 11^3 grid alone is 1331 points
 
 
 def test_jacobian_recovers_linear_matrix():
@@ -233,9 +237,9 @@ def _per_axis_fit(source, zero, window, n):
 
 
 def test_fit_gradients_is_bitwise_the_per_axis_fit():
-    def curved(p):
-        p = np.asarray(p, dtype=float)
-        return QUADRUPOLE @ p + 40.0 * p ** 3 + 3e-3 * np.sin(900.0 * p[::-1])
+    def curved(points):
+        return (points @ QUADRUPOLE.T + 40.0 * points ** 3
+                + 3e-3 * np.sin(900.0 * points[:, ::-1]))
 
     sources = [(curved, np.array([1e-4, -2e-4, 5e-5]))]
     for name in ("anti_helmholtz", "compact_four", "twisted_cage", "two_piece"):

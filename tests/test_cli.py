@@ -183,19 +183,27 @@ def test_export_two_piece_has_two_groups(tmp_path):
     assert groups == ["piece_a", "piece_b"]
 
 
-def test_obj_round_trip_reproduces_fields(tmp_path):
+def test_obj_export_lists_each_segment_by_its_ends(tmp_path):
     doc = {"geometry": {"variant": "FreePath", "parameters": {
         "points": [[0, 0, 0], [40, 0, 0], [40, 40, 0], [0, 40, 0]],
         "current": 2.0, "closed": True}}}
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert run(["export", "--config", cfg, "--out", str(out)]) == 0
-    segs = mk.build(cli.load_config(cfg)["geometry"])
-    back = cli.import_obj((out / "geometry.obj").read_text(),
-                          currents={"path": 2.0})
-    p = np.array([0.02, 0.02, 0.01])
-    b0, b1 = mk.field_at(segs, p), mk.field_at(back, p)
-    assert np.max(np.abs(b1 - b0)) <= 1e-9 * np.linalg.norm(b0)
+    # one group, and two whose vertex numbers run on across groups
+    for cfg in (write_config(tmp_path, doc), "anti_helmholtz"):
+        out = tmp_path / "out"
+        assert run(["export", "--config", cfg, "--out", str(out)]) == 0
+        vertices, lines = [], []
+        for line in (out / "geometry.obj").read_text().splitlines():
+            kind, *fields = line.split()
+            if kind == "v":
+                vertices.append([float(c) for c in fields])
+            elif kind == "l":
+                lines.append([vertices[int(i) - 1] for i in fields])
+        segs = mk.build(cli.load_config(cfg)["geometry"])
+        parts = [segs.group(g) for g in segs.groups()]
+        expected = np.concatenate(
+            [np.stack([p.starts, p.ends], axis=1) for p in parts]) * 1e3
+        assert np.array(lines).shape == expected.shape
+        assert np.max(np.abs(np.array(lines) - expected)) <= 1e-6, cfg
 
 
 def test_all_presets_load_and_build():
@@ -263,6 +271,19 @@ def test_malformed_config_is_exit_2(tmp_path, path, value):
     assert run(["optimize", "--config", cfg, "--out", str(out),
                 "--budget", "2"]) == 2
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("text", [
+    '{"geometry": ' + "[" * 100_000, "[" * 100_000], ids=["in_geometry", "bare"])
+def test_deeply_nested_config_is_exit_2(tmp_path, capsys, text):
+    # written as text, since json.dumps would recurse as deep; json.load
+    # raises RecursionError at this depth on every Python version
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+    assert not out.exists()
 
 
 def test_optimize_and_simulate_share_the_analysis_section(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import motkit as mk
-from motkit.cli import export_obj, import_obj
 from motkit.errors import EmptySample, InvalidInput, SingularPoint
 from motkit.field import _CHUNK_PAIRS, _CSV_BLOCK, _CsvBlock
 from motkit.geometry import MAX_LENGTH
@@ -115,7 +114,7 @@ def test_singular_samples_become_nan_gaps():
     fmap = mk.sample_line(segs, (0, 0, 0), (1, 0, 0), 0.01, 5)
     assert np.all(np.isnan(fmap.B[2]))          # the on-axis sample
     assert np.all(np.isfinite(fmap.B[[0, 1, 3, 4]]))
-    assert np.isnan(fmap.magnitude[2])
+    assert np.isnan(np.linalg.norm(fmap.B, axis=1)[2])
 
 
 def test_all_singular_raises_empty_sample():
@@ -146,7 +145,7 @@ def test_csv_is_byte_identical_to_the_per_row_format():
     expected = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G\n" + "".join(
         f"{x:.9e},{y:.9e},{z:.9e},{bx:.9e},{by:.9e},{bz:.9e},{bm:.9e}\n"
         for (x, y, z), (bx, by, bz), bm
-        in zip(fmap.positions, fmap.B, fmap.magnitude * 1e4))
+        in zip(fmap.positions, fmap.B, np.linalg.norm(fmap.B, axis=1) * 1e4))
     assert "nan" in expected
     written = mk.field_map_csv(fmap).split("\n")
     wanted = expected.split("\n")
@@ -428,12 +427,6 @@ OFF_PRESET = {
         [CORNERS[1], CORNERS[3], CORNERS[0], CORNERS[3]],
         [1.0, -2.0, 0.5, 3.0], ["g"] * 4),
     "single_segment": lambda: mk.make_free_path(CORNERS[:2], 1.0),
-    "obj_round_trip": lambda: import_obj(
-        export_obj(mk.build(mk.GeometrySpec(
-            "AntiHelmholtz",
-            {"radius": 0.03, "separation": 0.03, "current": 50.0},
-            segments_per_turn=24))),
-        currents={"coil_top": 50.0, "coil_bottom": -50.0}),
 }
 
 
@@ -584,7 +577,8 @@ def test_singular_screen_at_extreme_lengths(length):
 @pytest.mark.parametrize("variant", ["TwoPiece", "AntiHelmholtz"])
 @pytest.mark.parametrize("n", [50, 2000])
 def test_field_many_temporaries_stay_under_2_mb(variant, n):
-    # the README promises about 1.5 MB of kernel temporaries at any size
+    # the README gives about 1.2 MB of kernel temporaries at any size:
+    # 1.19 MB on AntiHelmholtz and 0.92 MB on TwoPiece, at 50 and 2000 points
     segs = mk.build(mk.GeometrySpec(variant))
     points = np.random.default_rng(0).uniform(-8e-3, 8e-3, size=(n, 3))
     tracemalloc.start()

@@ -133,6 +133,30 @@ def test_budget_cut_inside_a_shrink_reports_an_evaluated_pair(monkeypatch):
         assert result.best_objective == min(seen), budget
         best = spec.replace_parameters(**result.best_parameters)
         assert rugged(best, obj) == result.best_objective, budget
+        assert_reports_are_those_of(result, best, obj)
+
+
+def assert_reports_are_those_of(result, best, obj):
+    """The result's reports are evaluate_design's at `best`, as JSON."""
+    greport, preport = mk.evaluate_design(best, obj)
+    assert result.gradient_report.to_json_dict() == greport.to_json_dict()
+    assert result.power_report.to_json_dict() == preport.to_json_dict()
+
+
+def test_every_budget_reports_the_best_design():
+    # the optimize-coil24 start and bounds, with the real objective: a
+    # budget may end anywhere in the search, and the best vertex is always
+    # one that evaluate_design accepted
+    spec = mk.GeometrySpec("AntiHelmholtz", {"radius": 0.040, "separation": 0.060,
+                                             "current": 100.0,
+                                             "wire_diameter": 0.001}, FAST)
+    obj = mk.ObjectiveSpec(w_power=0.0, bounds={"radius": (0.005, 0.06),
+                                                "separation": (0.01, 0.1)})
+    for budget in range(1, 21):
+        result = mk.optimize_geometry(spec, obj, budget=budget)
+        best = spec.replace_parameters(**result.best_parameters)
+        assert mk.objective_value(best, obj) == result.best_objective, budget
+        assert_reports_are_those_of(result, best, obj)
 
 
 def test_an_evaluation_takes_three_kernel_calls(monkeypatch):
