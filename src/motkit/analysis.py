@@ -43,12 +43,28 @@ LINEARITY_MAX = 0.1
 
 def as_field(source):
     """A SegmentList as the batched function points (N, 3) -> B (N, 3),
-    with NaN rows at singular points; a callable is taken to be one."""
+    with NaN rows at singular points; a callable is taken to be one, and
+    raises InvalidInput where it fails on (N, 3) points with a ValueError,
+    as numpy's shape checks do, or returns another shape."""
     if isinstance(source, SegmentList):
         return lambda points: field_many(source, points)
     if not callable(source):
         raise InvalidInput("expected a SegmentList or a field callable")
-    return source
+
+    def batched(points):
+        try:
+            B = np.asarray(source(points))
+        except ValueError as err:
+            raise InvalidInput(
+                f"field callable failed on {points.shape} points: {err}"
+            ) from err
+        if B.shape != points.shape:
+            raise InvalidInput(
+                f"field callable returned shape {B.shape} for "
+                f"{points.shape} points; it must map (N, 3) to (N, 3)")
+        return B
+
+    return batched
 
 
 def _regular(B, what: str) -> np.ndarray:

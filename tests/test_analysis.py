@@ -298,6 +298,24 @@ def test_as_field_rejects_other_types():
         mk.analysis.as_field(42)
 
 
+# per-point callables, which map one 3-vector to one field, given the
+# (N, 3) points of a batched call
+@pytest.mark.parametrize("call", [
+    # (3, 3) @ (7, 3): numpy's ValueError inside the callable
+    pytest.param(lambda: mk.find_field_zero(
+        lambda p: QUADRUPOLE @ np.asarray(p)), id="matmul_fails"),
+    # a (3, 3) result for the fit's (3 * samples, 3) points
+    pytest.param(lambda: mk.fit_gradients(
+        lambda p: np.eye(3), np.zeros(3)), id="fixed_shape"),
+    # rows of the points read as components: (3, 3) for a 7-point stencil
+    pytest.param(lambda: mk.find_field_zero(
+        lambda p: np.array([p[0], p[1], p[2] ** 2])), id="rows_as_components"),
+])
+def test_per_point_callables_are_invalid_input(call):
+    with pytest.raises(InvalidInput, match="field callable"):
+        call()
+
+
 def test_suitability_passes_typical_profile():
     # 9 / 9.2 / -17.6 G/cm, the measured profile of the two-piece trap
     rep = mk.fit_gradients(linear_field(QUADRUPOLE * 10.0), np.zeros(3))

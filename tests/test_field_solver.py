@@ -388,11 +388,22 @@ def square_pairs():
 
 
 PRESETS = ("AntiHelmholtz", "TwoPiece", "CompactFour", "TwistedCage")
+# segment counts that are not a multiple of the 8 doubles of a cache line:
+# a call on 9 segments stays below the pair count from which it aligns its
+# scratch, and a map on 1001 segments reaches it
+ODD_COUNTS = {
+    "FreePath9": lambda: mk.make_free_path(
+        [(0.02 * math.cos(a), 0.03 * math.sin(a), 0.002 * a)
+         for a in np.linspace(0.0, 5.0, 10)], -1.5),
+    "Loop1001": lambda: mk.make_loop((1e-3, 0.0, 0.01), 0.03, 2.0, 1001),
+}
 
 
-@pytest.mark.parametrize("variant", PRESETS + ("FreePath",))
+@pytest.mark.parametrize("variant", PRESETS + ("FreePath",)
+                         + tuple(ODD_COUNTS))
 def test_field_many_is_bitwise_equal_to_the_reference(monkeypatch, variant):
     segs = (square_pairs() if variant == "FreePath"
+            else ODD_COUNTS[variant]() if variant in ODD_COUNTS
             else mk.build(mk.GeometrySpec(variant)))
     points = kernel_points(segs, 60, np.random.default_rng(5))
     expected = reference_field(segs, points)
@@ -531,6 +542,35 @@ def test_maps_off_the_grid_form_are_bitwise_the_reference():
     for axes in PLANES:
         assert_map_is_bitwise_the_reference(
             segs, (-0.0, -0.0, -0.0), axes, 3e-3, 9, grid=False)
+
+
+@pytest.mark.parametrize("variant, aligned", [("FreePath9", False),
+                                              ("Loop1001", True)])
+def test_odd_count_maps_are_bitwise_the_reference(variant, aligned):
+    segs = ODD_COUNTS[variant]()
+    kernel = mk.field._Kernel(segs, 21 * 21)
+    assert (kernel.alloc is mk.field._aligned) == aligned
+    for axes in PLANES:
+        assert_map_is_bitwise_the_reference(segs, (2e-3, -1e-3, 0.01), axes,
+                                            0.03, 21)
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((5,), float), ((3, 9), float), ((2, 3, 7, 1001), float),
+    ((4, 1, 5170), float), ((3, 11, 13), bool), ((2, 0, 9), float)])
+def test_aligned_puts_every_plane_on_a_cache_line(shape, dtype):
+    a = mk.field._aligned(shape, dtype)
+    b = mk.field._aligned(shape, dtype)
+    assert a.shape == shape and a.dtype == dtype
+    # each plane over the last two axes starts on a line, unpadded within;
+    # an empty one, as for a call of no points, has no memory to place
+    for index in np.ndindex(shape[:-2] if a.size else ()):
+        assert a[index].ctypes.data % 64 == 0, index
+        assert a[index].flags.c_contiguous, index
+    assert not np.shares_memory(a, b)
+    b[...] = 1
+    a[...] = 0
+    assert (b == 1).all()
 
 
 def test_vertex_hitting_planes_are_bitwise_the_reference():
