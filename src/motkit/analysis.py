@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DegenerateFit, InvalidInput, SingularPoint, ZeroNotBracketed
-from .field import field_many
-from .geometry import SegmentList
+from .field import _vector, field_many
+from .geometry import COUNT, SegmentList, _check
 
 GAUSS_PER_TESLA = 1.0e4
 GCM_PER_TPM = 100.0           # 1 T/m = 100 G/cm
@@ -138,7 +138,7 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     if not (search_radius > 0):
         raise InvalidInput("search radius must be positive")
     f = as_field(source)
-    c = np.array(search_center, dtype=float)
+    c = _vector(search_center, "search centre")
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
     try:
         p, m_c, stopped, stencils, jh, m = _newton(
@@ -242,7 +242,7 @@ def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:
     if not (h > 0):
         raise InvalidInput("stencil step must be positive")
     f = as_field(source)
-    p = np.asarray(p, dtype=float)
+    p = _vector(p, "stencil centre")
     return _central_jacobian(_regular(f(_stencil(p, h)), "Jacobian stencil"), h)
 
 
@@ -257,10 +257,11 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     """
     if not (window > 0):
         raise InvalidInput("fit window must be positive")
+    _check("sample count", COUNT, n)
     if n < 5:
         raise InvalidInput("need at least 5 samples per axis")
     f = as_field(source)
-    zero = np.asarray(zero, dtype=float)
+    zero = _vector(zero, "field zero")
     s = np.linspace(-window, window, n)
     # rows axis * n + i hold zero + s[i] * e_axis
     B = _regular(f((zero + s[None, :, None] * np.eye(3)[:, None, :])

@@ -22,21 +22,27 @@ own.  Singular points are screened with one compare per pair on a sum the
 field needs anyway: by the triangle inequality a point within d of a
 segment has |r1| + |r2| <= |l| + 2d, so only rows with some
 |r1| + |r2| < |l| + 4 EPS_SING can lie within EPS_SING of a filament, and
-only those rows compute the exact distance.
+only their screened pairs compute the exact distance.
 
-A scan or plane along the basis axes is a separable grid: each coordinate
-of its samples is, bitwise, constant or a function of the row alone or of
-the column alone.  `sample_line` and `sample_plane` then form r1, r2, their
-squares and products, and each sum or cross component of two coordinates
-as tables at the coarsest level their inputs allow: once per map, once per
-panel of columns, once per row and panel, or per block.  In an xy plane
-that leaves about 21 element operations per pair of the 39 that
-`field_many` does; an 81 x 81 plane at 720 segments takes about 0.65 of
-the time.  One body does the per-pair arithmetic for both forms with the
-same element operations, so a map is bitwise `field_many` at its
+Beside a long segment the denominator's |r1||r2| + r1.r2 cancels: it
+loses about u / (4 e) of its value, with e = (|r1| + |r2|) / |l| - 1, so
+at 1.01 EPS_SING from a 1 km segment it rounded to 0.  The screen is
+relative as well, |r1| + |r2| < max(|l| + 4 EPS_SING, |l| (1 + _CANCEL)),
+and each screened pair with e < _CANCEL and r1.r2 < 0 takes the same
+quantity as |r1 x r2|² / (|r1||r2| - r1.r2), which does not cancel.
+
+`sample_line` and `sample_plane` evaluate every map in the grid form.  Each
+coordinate of a map's samples is, bitwise, constant, a function of the row
+alone, of the column alone, or, as on an oblique plane, of both.  r1, r2,
+their squares and products, and each sum or cross component of two
+coordinates are tables formed at the coarsest level their inputs allow:
+once per map, once per panel of columns, once per row and panel, or per
+block.  In an xy plane that leaves about 21 element operations per pair of
+the 39 that `field_many` does; an 81 x 81 plane at 720 segments takes about
+0.65 of the time.  One body does the per-pair arithmetic for both forms
+with the same element operations, so a map is bitwise `field_many` at its
 positions.  The tables, segment data and block scratch stay within about
-1.75 MB.  A map that is not separable, such as an oblique plane, goes
-through `field_many`.
+1.75 MB.
 
 A call of at least _ALIGN_PAIRS point-segment pairs takes its segment data
 and every scratch array from `_aligned`, which starts each component plane
@@ -56,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, InvalidInput, SingularPoint
-from .geometry import SegmentList
+from .geometry import COUNT, SegmentList, _check
 
 MU_0 = 4.0 * math.pi * 1e-7  # T m / A, exact by convention here
 EPS_SING = 1e-7              # m: singular tube radius around each filament
@@ -67,6 +73,10 @@ _LINE = 64                   # bytes per cache line
 # dozen or so arrays costs about 40 us of Python, which one block does not
 # win back (a 123-point call at 48 segments took 12 % longer)
 _ALIGN_PAIRS = 2 * _CHUNK_PAIRS
+# |r1||r2| + r1.r2 loses about u / (4 e) of its value, with
+# e = (|r1| + |r2|) / |l| - 1, so pairs with r1.r2 < 0 and e below this take
+# its stable form instead; outside them the loss is at most about 3e-14
+_CANCEL = 1e-3
 
 CSV_HEADER = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G"
 # rows per rendered block: the writer's scratch is about 60 bytes per value,
@@ -144,8 +154,9 @@ _CONST, _ROW, _COL, _PAIR = 0, 1, 2, 3
 class _Kernel:
     """One geometry's segment data, and its field at many points.
 
-    `points` evaluates arbitrary points and `grid` the points of a separable
-    grid.  Each forms the tables of r1 = p - a, r2 = p - b and their
+    `points` evaluates arbitrary points and `grid` the points of a grid,
+    whose coordinates each vary with the row, the column, both or neither.
+    Each forms the tables of r1 = p - a, r2 = p - b and their
     products its own way, and hands each block of points to `_sums`, the
     one body of the per-pair arithmetic, whose inputs broadcast.
 
@@ -171,12 +182,15 @@ class _Kernel:
         length_sq += line[2] * line[2]
         self.k = alloc((n,))
         np.multiply(MU_0 / (4.0 * math.pi), segments.currents, out=self.k)
-        # a point within d of a segment has |r1| + |r2| <= |l| + 2d; the
+        # the denominator may cancel where |r1| + |r2| < cancel_reach.  A
+        # point within d of a segment has |r1| + |r2| <= |l| + 2d; the
         # screen doubles that margin for d = EPS_SING so that rounding
-        # cannot drop a row
+        # cannot drop a row, and takes in the cancelling pairs too
         self.reach = alloc((n,))
         np.sqrt(length_sq, out=self.reach)
+        self.cancel_reach = self.reach * (1.0 + _CANCEL)
         self.reach += 4.0 * EPS_SING
+        np.maximum(self.reach, self.cancel_reach, out=self.reach)
         # break columns: each segment whose end is not the next one's
         # start, and the last one
         self.brk = np.flatnonzero(np.append(
@@ -217,25 +231,49 @@ class _Kernel:
         for c in range(3):
             np.multiply(tmp, cross[c], out=work[c])
         np.add.reduce(work, axis=2, out=out.T)
-        # A point is singular when its squared distance d2 to a segment is
-        # below EPS_SING^2: with u = (r1.l) / |l|^2, d2 is |r1|^2 for
-        # u <= 0, |r2|^2 for u >= 1 and |r1 x r2|^2 / |l|^2 between.  Only
-        # rows that pass the |r1| + |r2| screen can hold such a point, and
-        # only they compute d2.
         if hit.any():
-            near = np.flatnonzero(hit.any(axis=1))
-            a, b, c = ([np.broadcast_to(v, hit.shape)[near] for v in w]
-                       for w in (r1, r2, cross))
-            line, length_sq = self.ends - self.starts, self.length_sq
-            along = a[0] * line[0] + a[1] * line[1] + a[2] * line[2]
-            dist_sq = np.where(
-                along <= 0.0, a[0] * a[0] + a[1] * a[1] + a[2] * a[2],
-                np.where(along >= length_sq,
-                         b[0] * b[0] + b[1] * b[1] + b[2] * b[2],
-                         (c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-                         / length_sq))
-            inside = (dist_sq < EPS_SING * EPS_SING).any(axis=1)
-            out[near[inside]] = np.nan
+            self._near(hit, r1, r2, cross, work, out)
+
+    def _near(self, hit, r1, r2, cross, work, out):
+        """Mend the rows of a block from the pairs that pass the screen
+        `hit`; `work` holds the block's terms and `out` its rows.
+
+        Where r1.r2 < 0 and |r1| + |r2| < |l| (1 + _CANCEL), the denominator
+        |r1||r2| + r1.r2 cancels; those terms take it as
+        |r1 x r2|² / (|r1||r2| - r1.r2) instead, and their rows are summed
+        again.  Then a row is NaN if it is within EPS_SING of a segment: with
+        u = (r1.l) / |l|², its squared distance is |r1|² for u <= 0, |r2|²
+        for u >= 1 and |r1 x r2|² / |l|² between.  Only screened pairs can
+        lie that close.  Each pair's |r1|, |r2| and r1.r2 are formed from
+        its gathered components in the body's order, so they are bitwise
+        the body's.
+        """
+        i, j = np.nonzero(hit)
+        a, b, c = ([np.broadcast_to(v, hit.shape)[i, j] for v in w]
+                   for w in (r1, r2, cross))
+        a_sq, b_sq, c_sq = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+                            for v in (a, b, c))
+        norms = np.sqrt(a_sq), np.sqrt(b_sq)
+        dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        total = norms[0] + norms[1]
+        cancel = np.flatnonzero((dot < 0.0) & (total < self.cancel_reach[j]))
+        if cancel.size:
+            p, q = i[cancel], j[cancel]
+            n12 = norms[0][cancel] * norms[1][cancel]
+            coef = (self.k[q] * total[cancel]) / (
+                n12 * (c_sq[cancel] / (n12 - dot[cancel])))
+            for comp in range(3):
+                work[comp][p, q] = coef * c[comp][cancel]
+            rows = np.zeros(hit.shape[0], dtype=bool)
+            rows[p] = True
+            rows = np.flatnonzero(rows)
+            out[rows] = np.add.reduce(work[:, rows], axis=2).T
+        line = self.ends[:, j] - self.starts[:, j]
+        length_sq = self.length_sq[j]
+        along = a[0] * line[0] + a[1] * line[1] + a[2] * line[2]
+        dist_sq = np.where(along <= 0.0, a_sq,
+                           np.where(along >= length_sq, b_sq, c_sq / length_sq))
+        out[i[dist_sq < EPS_SING * EPS_SING]] = np.nan
 
     def points(self, points) -> np.ndarray:
         """Field at arbitrary (N, 3) points, every table formed per pair.
@@ -319,8 +357,8 @@ class _Kernel:
 
     def grid(self, coords, shape) -> np.ndarray:
         """Field at the row-major points of a U x V grid whose coordinates
-        are (U, 1), (1, V) or (1, 1) arrays: each varies with the row, with
-        the column, or not at all.
+        are (U, 1), (1, V), (U, V) or (1, 1) arrays: each varies with the
+        row, with the column, with both, or not at all.
 
         Each table is formed at the coarsest level its inputs allow: a
         coordinate's tables, and each sum or cross component of two
@@ -338,6 +376,8 @@ class _Kernel:
         panel = block if U == 1 else min(V, max(block, _PANEL_PAIRS // n))
         size = (1, 1, panel, block)
         lv = [(c.shape[0] > 1) | 2 * (c.shape[1] > 1) for c in coords]
+        # the coordinates that vary with both indices, as (U, V, 1) arrays
+        pair = [(c, coords[c][..., None]) for c in range(3) if lv[c] == _PAIR]
         tab = [alloc((4, size[level], n)) for level in lv]
         brk_tab = [alloc((2, size[level], nb)) for level in lv]
         first = lv[0] | lv[1]
@@ -419,6 +459,9 @@ class _Kernel:
                         if key not in bound:
                             bound[key] = bind(*key)
                         tasks, body = bound[key]
+                        for c, values in pair:
+                            self._axis(c, values[i, b0:b1], tab[c][:, :b1 - b0],
+                                       brk_tab[c][:, :b1 - b0])
                         for fn, args in tasks:
                             fn(*args)
                         self._sums(*body, out[i * V + b0:i * V + b1])
@@ -444,15 +487,22 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
     return _Kernel(segments, points.shape[0]).points(points)
 
 
+def _vector(value, what: str) -> np.ndarray:
+    """`value` as a new float array of shape (3,); InvalidInput naming
+    `what` if it has another shape."""
+    value = np.array(value, dtype=float)
+    if value.shape != (3,):
+        raise InvalidInput(f"{what} must be a 3-vector")
+    return value
+
+
 def field_at(segments: SegmentList, p) -> np.ndarray:
     """Superposed field of all segments at point p (tesla).
 
     The one-point case of `field_many`; a singular point raises
     SingularPoint naming the nearest segment.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise InvalidInput("field point must be a 3-vector")
+    p = _vector(p, "field point")
     b = field_many(segments, p[None, :])[0]
     if np.isnan(b[0]):
         dist = _distance_to_segments(p, segments.starts, segments.ends)
@@ -472,15 +522,17 @@ class FieldMap:
 
 def _sample(segments, center, axes, half_range, n) -> FieldMap:
     """Row-major grid of n points per axis on center +- half_range * axes[i],
-    in the kernel's grid form if `_separable` allows it."""
+    in the kernel's grid form."""
+    _check("sample count", COUNT, n)
     if n < 1:
         raise InvalidInput("need at least one sample per axis")
+    center = _vector(center, "sample centre")
+    axes = [_vector(axis, "sample axis") for axis in axes]
     if not np.isfinite(np.hstack((center, *axes, half_range))).all():
         raise InvalidInput("sample centre, axes and half-range must be finite")
     s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
-    grid = np.asarray(center, dtype=float)
+    grid = center
     for axis in axes:
-        axis = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(axis)
         if norm == 0:
             raise InvalidInput("sample axes must be non-zero")
@@ -488,20 +540,16 @@ def _sample(segments, center, axes, half_range, n) -> FieldMap:
     # a line is one row of the grid
     grid = grid.reshape(-1, n, 3)
     positions = grid.reshape(-1, 3)
-    coords = _separable(grid)
-    if coords is None:
-        B = field_many(segments, positions)
-    else:
-        B = _Kernel(segments, len(positions)).grid(coords, grid.shape[:2])
+    B = _Kernel(segments, len(positions)).grid(_separable(grid), grid.shape[:2])
     if np.all(np.isnan(B[:, 0])):
         raise EmptySample("every sample point is singular")
     return FieldMap(positions=positions, B=B)
 
 
 def _separable(grid):
-    """The three coordinates of a (U, V, 3) grid as (U, 1), (1, V) or (1, 1)
-    arrays if each, bitwise, depends on the row alone, on the column alone
-    or on neither; None if one depends on both."""
+    """The three coordinates of a (U, V, 3) grid, each as a (U, 1), (1, V),
+    (1, 1) or (U, V) array as it, bitwise, depends on the row alone, on the
+    column alone, on neither or on both."""
     bits = grid.view(np.int64)
     coords = []
     for c in range(3):
@@ -509,8 +557,6 @@ def _separable(grid):
         by_row = (g == g[:, :1]).all()
         by_col = (g == g[:1, :]).all()
         coords.append(grid[:1 if by_col else None, :1 if by_row else None, c])
-        if not (by_row or by_col):
-            return None
     return coords
 
 

@@ -16,7 +16,8 @@ from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
                        fit_gradients)
 from .errors import (InfeasibleStart, InvalidInput, MotKitError,
                      ObjectiveEvaluationError)
-from .geometry import COPPER, GeometrySpec, Material, build, clearance_check
+from .geometry import (COPPER, CURRENT, LENGTH, NUMBER, REGISTRY, GeometrySpec,
+                       Material, build, clearance_check)
 from .power import PowerReport, power_report
 
 
@@ -144,6 +145,11 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
     names = sorted(obj.bounds)   # canonical order: declaration order irrelevant
     if not names:
         raise InvalidInput("no free parameters declared")
+    kinds = REGISTRY[initial.variant].parameters
+    for name in names:
+        if name not in kinds or kinds[name][0] not in (LENGTH, CURRENT, NUMBER):
+            raise InvalidInput(f"bounds name {name!r}, which is not a numeric "
+                               f"parameter of {initial.variant}")
     lo = np.array([obj.bounds[n][0] for n in names])
     hi = np.array([obj.bounds[n][1] for n in names])
     x0 = np.array([float(initial.parameters[n]) for n in names])

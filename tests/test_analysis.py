@@ -293,6 +293,35 @@ def test_nan_settings_are_invalid_input(call):
         call()
 
 
+WIRE = mk.make_free_path([(0.01, 0.0, -1.0), (0.01, 0.0, 1.0)], 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: mk.sample_line(WIRE, (0, 0), (1, 0, 0), 1e-3, 5),
+                 id="line_centre"),
+    pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0, 0), 1e-3, 5),
+                 id="line_direction"),
+    pytest.param(lambda: mk.sample_plane(WIRE, (0, 0, 0, 0), (1, 0, 0),
+                                         (0, 1, 0), 1e-3, 5), id="plane_centre"),
+    pytest.param(lambda: mk.sample_plane(WIRE, (0, 0, 0), (1, 0),
+                                         (0, 1, 0), 1e-3, 5), id="plane_axis"),
+    pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), 1e-3, 2.5),
+                 id="fractional_count"),
+    pytest.param(lambda: mk.sample_plane(WIRE, (0, 0, 0), (1, 0, 0),
+                                         (0, 1, 0), 1e-3, True),
+                 id="boolean_count"),
+    pytest.param(lambda: mk.find_field_zero(WIRE, search_center=(0, 0)),
+                 id="search_centre"),
+    pytest.param(lambda: mk.fit_gradients(WIRE, (0, 0)), id="fit_zero"),
+    pytest.param(lambda: mk.fit_gradients(WIRE, np.zeros(3), n=41.5),
+                 id="fit_count"),
+    pytest.param(lambda: mk.jacobian_at(WIRE, (0, 0)), id="stencil_centre"),
+])
+def test_malformed_points_and_counts_are_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
 def test_as_field_rejects_other_types():
     with pytest.raises(InvalidInput):
         mk.analysis.as_field(42)

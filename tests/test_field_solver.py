@@ -1,4 +1,5 @@
 """Analytic oracles and sampler behaviour for the Biot-Savart solver."""
+import decimal
 import math
 import re
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import motkit as mk
 from motkit.errors import EmptySample, InvalidInput, SingularPoint
-from motkit.field import _CHUNK_PAIRS, _CSV_BLOCK, _CsvBlock
+from motkit.field import _CANCEL, _CHUNK_PAIRS, _CSV_BLOCK, _CsvBlock
 from motkit.geometry import MAX_LENGTH
 
 
@@ -270,8 +271,10 @@ def test_field_point_must_be_vector():
 def brute_force(segments, p):
     """Per-segment Biot-Savart sum in scalar arithmetic, segment by segment.
 
-    Returns the field and the sum of the per-segment magnitudes, the scale
-    against which the batched kernel's rounding is judged.
+    Where |r1||r2| + r1.r2 cancels, it is formed as the kernel forms it, as
+    |r1 x r2|² / (|r1||r2| - r1.r2), in the same pairs.  Returns the field
+    and the sum of the per-segment magnitudes, the scale against which the
+    batched kernel's rounding is judged.
     """
     total = [0.0, 0.0, 0.0]
     scale = 0.0
@@ -285,7 +288,13 @@ def brute_force(segments, p):
                  r1[2] * r2[0] - r1[0] * r2[2],
                  r1[0] * r2[1] - r1[1] * r2[0]]
         dot = sum(u * v for u, v in zip(r1, r2))
-        coef = 1e-7 * current * (n1 + n2) / (n1 * n2 * (n1 * n2 + dot))
+        line = [b[i] - a[i] for i in range(3)]
+        length = math.sqrt(sum(v * v for v in line))
+        if dot < 0.0 and n1 + n2 < length * (1.0 + _CANCEL):
+            denom = sum(v * v for v in cross) / (n1 * n2 - dot)
+        else:
+            denom = n1 * n2 + dot
+        coef = 1e-7 * current * (n1 + n2) / (n1 * n2 * denom)
         for i in range(3):
             total[i] += coef * cross[i]
         scale += abs(coef) * math.hypot(*cross)
@@ -324,11 +333,14 @@ def test_field_many_is_bitwise_independent_of_chunks(monkeypatch):
 
 def reference_field(segments, points):
     """The kernel written with fresh numpy temporaries per chunk, in the same
-    per-element operations and order; field_many must match it bitwise."""
+    per-element operations and order; field_many must match it bitwise.
+    Where r1.r2 < 0 and |r1| + |r2| < |l| (1 + _CANCEL), the denominator's
+    |r1||r2| + r1.r2 is formed as |r1 x r2|² / (|r1||r2| - r1.r2)."""
     a = np.ascontiguousarray(segments.starts.T)
     b = np.ascontiguousarray(segments.ends.T)
     line = b - a
     length_sq = line[0] * line[0] + line[1] * line[1] + line[2] * line[2]
+    cancel_reach = np.sqrt(length_sq) * (1.0 + _CANCEL)
     k = mk.MU_0 / (4.0 * math.pi) * segments.currents
     eps = mk.EPS_SING
     rows = max(1, _CHUNK_PAIRS // len(segments))
@@ -346,13 +358,15 @@ def reference_field(segments, points):
             cy = r1z * r2x - r1x * r2z
             cz = r1x * r2y - r1y * r2x
             n12 = n1 * n2
+            dot = r1x * r2x + r1y * r2y + r1z * r2z
+            cross_sq = cx * cx + cy * cy + cz * cz
+            cancel = (dot < 0.0) & (n1 + n2 < cancel_reach)
             coef = k * (n1 + n2) / (
-                n12 * (n12 + (r1x * r2x + r1y * r2y + r1z * r2z)))
+                n12 * np.where(cancel, cross_sq / (n12 - dot), n12 + dot))
             rows_out = np.empty((chunk.shape[0], 3))
             rows_out[:, 0] = (coef * cx).sum(axis=1)
             rows_out[:, 1] = (coef * cy).sum(axis=1)
             rows_out[:, 2] = (coef * cz).sum(axis=1)
-            cross_sq = cx * cx + cy * cy + cz * cz
             near = np.flatnonzero(
                 (cross_sq < 2.0 * eps * eps * length_sq).any(axis=1))
             if near.size:
@@ -482,11 +496,15 @@ PLANES = (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)),
           ((0, 0, 1), (0, 1, 0)))
 
 
-def assert_map_is_bitwise_the_reference(segs, center, axes, half_range, n,
-                                        grid=True):
+# planes whose coordinates vary with both indices: y = c + u s_i + v s_j in
+# the first, x and y in the second
+OBLIQUE = (((1, 1, 0), (0, 1, 1)), ((1, 1, 1), (1, -1, 0)))
+
+
+def assert_map_is_bitwise_the_reference(segs, center, axes, half_range, n):
     """The map sampled at each block size equals `reference_field` at its
-    positions bitwise, and takes the grid form if `grid`, the per-point
-    form of `field_many` otherwise."""
+    positions bitwise, and never calls `field_many`: every map takes the
+    kernel's grid form."""
     sample = mk.sample_line if len(axes) == 1 else mk.sample_plane
     calls = []
 
@@ -503,7 +521,7 @@ def assert_map_is_bitwise_the_reference(segs, center, axes, half_range, n,
             if expected is None:
                 expected = reference_field(segs, fmap.positions)
             assert fmap.B.tobytes() == expected.tobytes(), (axes, chunk)
-    assert len(calls) == (0 if grid else 3), axes
+    assert not calls, axes
     return expected
 
 
@@ -527,21 +545,19 @@ def test_even_maps_are_bitwise_the_reference():
         assert_map_is_bitwise_the_reference(segs, zero, axes, 4e-3, 20)
 
 
-def test_maps_off_the_grid_form_are_bitwise_the_reference():
+def test_oblique_and_signed_zero_maps_are_bitwise_the_reference():
     segs = mk.build(mk.GeometrySpec("AntiHelmholtz", segments_per_turn=24))
     centre = (1e-3, -2e-3, 5e-4)
-    # x and y vary with the row only and z with the column only, bitwise,
-    # so this oblique plane is still a grid
+    # x and y vary with the row only and z with the column only, bitwise
     assert_map_is_bitwise_the_reference(
         segs, centre, ((1, 1, 0), (0, 0, 1)), 3e-3, 9)
-    # y = c + u s_i + v s_j varies with both indices
-    assert_map_is_bitwise_the_reference(
-        segs, centre, ((1, 1, 0), (0, 1, 1)), 3e-3, 9, grid=False)
+    for axes in OBLIQUE:
+        assert_map_is_bitwise_the_reference(segs, centre, axes, 3e-3, 9)
     # -0.0 + s 0.0 is -0.0 or 0.0 with the sign of s, so the coordinate
     # that neither axis moves varies with the row, and then with the column
     for axes in PLANES:
         assert_map_is_bitwise_the_reference(
-            segs, (-0.0, -0.0, -0.0), axes, 3e-3, 9, grid=False)
+            segs, (-0.0, -0.0, -0.0), axes, 3e-3, 9)
 
 
 @pytest.mark.parametrize("variant, aligned", [("FreePath9", False),
@@ -550,8 +566,11 @@ def test_odd_count_maps_are_bitwise_the_reference(variant, aligned):
     segs = ODD_COUNTS[variant]()
     kernel = mk.field._Kernel(segs, 21 * 21)
     assert (kernel.alloc is mk.field._aligned) == aligned
-    for axes in PLANES:
+    for axes in PLANES + OBLIQUE:
         assert_map_is_bitwise_the_reference(segs, (2e-3, -1e-3, 0.01), axes,
+                                            0.03, 21)
+    for axes in PLANES:
+        assert_map_is_bitwise_the_reference(segs, (-0.0, -0.0, -0.0), axes,
                                             0.03, 21)
 
 
@@ -609,9 +628,11 @@ def test_singular_screen_at_extreme_lengths(length):
                        start - r * along, end + r * along]  # beyond each end
             inside += [f < 1.0] * 5
     points = np.array(points)
+    inside = np.array(inside)
     B = assert_bitwise_equal_to_the_reference(segs, points)
     assert np.array_equal(np.isnan(B).any(axis=1), inside)
     assert np.isnan(B[inside]).all()
+    assert np.isfinite(B[~inside]).all()
 
 
 @pytest.mark.parametrize("variant", ["TwoPiece", "AntiHelmholtz"])
@@ -664,6 +685,50 @@ def test_field_many_nan_rows_exactly_within_eps_sing():
     assert np.all(np.isnan(B[:len(singular)]))
     assert np.all(np.isfinite(B[len(singular):]))
     assert_matches_brute_force(segs, np.array(regular))
+
+
+def decimal_field(segments, p):
+    """The field at p from the exact values of the float inputs, summed
+    over the segments in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        p = [D(v) for v in p]
+        total = [D(0)] * 3
+        for a, b, current in zip(segments.starts.tolist(),
+                                 segments.ends.tolist(),
+                                 segments.currents.tolist()):
+            r1 = [p[i] - D(a[i]) for i in range(3)]
+            r2 = [p[i] - D(b[i]) for i in range(3)]
+            n1 = sum(v * v for v in r1).sqrt()
+            n2 = sum(v * v for v in r2).sqrt()
+            cross = [r1[1] * r2[2] - r1[2] * r2[1],
+                     r1[2] * r2[0] - r1[0] * r2[2],
+                     r1[0] * r2[1] - r1[1] * r2[0]]
+            dot = sum(u * v for u, v in zip(r1, r2))
+            coef = (D("1e-7") * D(current) * (n1 + n2)
+                    / (n1 * n2 * (n1 * n2 + dot)))
+            total = [t + coef * c for t, c in zip(total, cross)]
+        return np.array([float(t) for t in total])
+
+
+@pytest.mark.parametrize("length", [1e-3, 1.0, 100.0, MAX_LENGTH])
+@pytest.mark.parametrize("distance", [1.01 * mk.EPS_SING, 1e-6, 1e-3])
+def test_near_field_matches_a_50_digit_oracle(length, distance):
+    # beside a segment 0.05 L off its middle, where |r1||r2| + r1.r2
+    # cancels: a 3 x 3 plane across the wire, whose centre is on it
+    segs = mk.make_free_path([(0.0, 0.0, 0.0), (length, 0.0, 0.0)], 1.0)
+    fmap = mk.sample_plane(segs, (0.55 * length, 0.0, 0.0), (0, 1, 0),
+                           (0, 0, 1), distance, 3)
+    off = np.delete(fmap.positions, 4, axis=0)
+    expected = np.array([decimal_field(segs, p) for p in off])
+    for B in (fmap.B, mk.field_many(segs, fmap.positions)):
+        assert np.isnan(B[4]).all()
+        B = np.delete(B, 4, axis=0)
+        assert np.isfinite(B).all()
+        error = (np.linalg.norm(B - expected, axis=1)
+                 / np.linalg.norm(expected, axis=1))
+        assert error.max() <= 1e-12, error
 
 
 def test_field_many_matches_brute_force_on_presets():

@@ -100,6 +100,16 @@ def test_objective_validation():
                              mk.ObjectiveSpec(), budget=10)  # no bounds
 
 
+@pytest.mark.parametrize("variant, name", [("AntiHelmholtz", "nope"),
+                                           ("FreePath", "points"),
+                                           ("FreePath", "closed")])
+def test_bounds_on_no_numeric_parameter_are_invalid_input(variant, name):
+    with pytest.raises(InvalidInput, match=f"'{name}'"):
+        mk.optimize_geometry(mk.GeometrySpec(variant, {}, FAST),
+                             coil_objective(bounds={name: (0.03, 0.06)}),
+                             budget=2)
+
+
 def test_trace_csv_format():
     spec = mk.GeometrySpec("AntiHelmholtz", {}, FAST)
     result = mk.optimize_geometry(spec, coil_objective(), budget=5)
