@@ -8,8 +8,9 @@ evaluation find the zero and fit the gradients with its search radius, fit
 window and sample count, and its sample counts are capped by MAX_SAMPLES
 before anything is built.  Outputs are CSV field maps (SI columns plus a
 gauss magnitude column), JSON reports, and an OBJ-style polyline export.
-All files are written via temp-then-rename so a failing run leaves no
-partial output.
+A command writes all its files or none: each goes to a temporary file in
+the output directory before any is renamed into place, and a target it
+cannot write is invalid usage.
 
 Exit codes: 0 ok, 2 invalid usage, config or value in any section, 3
 infeasible geometry (beam clearance) or infeasible optimizer start, 4
@@ -147,17 +148,33 @@ def load_config(path: str) -> dict:
 # output helpers
 
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".motkit-", suffix=".tmp")
+def _write_outputs(out: str, files: dict):
+    """Write each name -> text of `files` into the directory `out`.
+
+    Every text goes to a temporary file in `out` before any is renamed over
+    its target, and no temporary outlives the call.  A target that is a
+    directory is refused before anything is written, and an OSError becomes
+    InvalidInput naming the path.
+    """
+    targets = [os.path.join(out, name) for name in files]
+    for path in targets:
+        if os.path.isdir(path):
+            raise InvalidInput(f"cannot write {path}: it is a directory")
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, text in zip(targets, files.values()):
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=".motkit-", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, path in zip(temps, targets):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _check_outdir(out: str):
@@ -210,8 +227,7 @@ def cmd_simulate(args) -> int:
         "power_report": preport.to_json_dict(),
         "suitability": verdict.to_json_dict(),
     })
-    for name, text in outputs.items():
-        _atomic_write(os.path.join(args.out, name), text)
+    _write_outputs(args.out, outputs)
     g = greport.g
     print(f"zero at {np.array2string(zero * 1e3, precision=4)} mm")
     print(f"gradients: {g[0]:.3f}, {g[1]:.3f}, {g[2]:.3f} G/cm "
@@ -228,9 +244,9 @@ def cmd_optimize(args) -> int:
     _check_outdir(args.out)
     result = optimize_geometry(cfg["geometry"], cfg["objective"],
                                budget=args.budget, material=cfg["material"])
-    _atomic_write(os.path.join(args.out, "opt_result.json"),
-                  _json_text(result.to_json_dict()))
-    _atomic_write(os.path.join(args.out, "opt_trace.csv"), trace_csv(result))
+    _write_outputs(args.out, {
+        "opt_result.json": _json_text(result.to_json_dict()),
+        "opt_trace.csv": trace_csv(result)})
     kinds = REGISTRY[cfg["geometry"].variant].parameters
     print("best parameters:")
     for name, value in sorted(result.best_parameters.items()):
@@ -250,8 +266,8 @@ def cmd_scale(args) -> int:
         print(f"{name:<12}{value:>12.6g}")
     if args.out:
         _check_outdir(args.out)
-        _atomic_write(os.path.join(args.out, "scaling.json"),
-                      _json_text(report.to_json_dict()))
+        _write_outputs(args.out,
+                       {"scaling.json": _json_text(report.to_json_dict())})
     else:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0
@@ -281,7 +297,7 @@ def cmd_export(args) -> int:
     cfg = load_config(args.config)
     _check_outdir(args.out)
     segs = build(cfg["geometry"])
-    _atomic_write(os.path.join(args.out, "geometry.obj"), export_obj(segs))
+    _write_outputs(args.out, {"geometry.obj": export_obj(segs)})
     print(f"wrote {len(segs)} segments in {len(segs.groups())} groups")
     return 0
 

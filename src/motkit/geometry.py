@@ -348,8 +348,6 @@ def make_free_path(points, current, closed=False) -> SegmentList:
 
 def _hex_offsets(radius_xsec, n_filaments):
     """Filament offsets (2D) over a circular cross-section: centre + rings."""
-    if n_filaments <= 1:
-        return np.zeros((1, 2))
     offs = [(0.0, 0.0)]
     ring = n_filaments - 1
     r = radius_xsec * 2.0 / 3.0
@@ -431,6 +429,20 @@ def _closed_circuit(blocks, current, segments_per_turn):
 
 # groups of a coil pair's loops at +z and -z
 _COIL_PAIR = ("coil_top", "coil_bottom")
+# metres: the stand-off of the compact traps' filaments from the beam holes,
+# the outer wall and the end faces
+_MARGIN = 0.2e-3
+
+
+def _ring(p, outer, what):
+    """The beam-hole ring of CompactFour and TwoPiece, of diameter p[outer]:
+    this decides the ring and its margin.  Returns its outer and hole radii
+    and the band z_lo..z_hi above the holes open to its filaments; raises
+    ClearanceError when the hole and its two gaps leave no conductor."""
+    if p["hole_diameter"] + 2.0 * p["gap"] >= p[outer]:
+        raise ClearanceError(f"hole plus gaps exceeds conductor {what}")
+    r_hole = p["hole_diameter"] / 2.0
+    return p[outer] / 2.0, r_hole, r_hole + _MARGIN, p["height"] / 2.0 - _MARGIN
 
 
 def _anti_helmholtz(p, spt) -> SegmentList:
@@ -528,20 +540,14 @@ def _compact_four(p, spt) -> SegmentList:
     field.  The assembly is odd under point inversion with current reversal,
     so the field vanishes at the centre exactly.
     """
-    gap = p["gap"]
-    if p["hole_diameter"] + 2.0 * gap >= p["width"]:
-        raise ClearanceError("hole plus gaps exceeds conductor width")
-    r_out = p["width"] / 2.0
-    r_hole = p["hole_diameter"] / 2.0
-    margin = 0.2e-3
-    i_cond = p["current_per_conductor"]
+    r_out, r_hole, z_lo, z_hi = _ring(p, "width", "width")
 
     # prong band: wedged between the two horizontal beam cylinders
     half_t = 0.3e-3
     r_hi = r_out - 0.3e-3
     # inner radius so the innermost tangential corner clears the beams
     delta = half_t / r_hi
-    r_lo_min = (r_hole + margin) / math.sin(math.pi / 4.0 - delta)
+    r_lo_min = z_lo / math.sin(math.pi / 4.0 - delta)
     if r_lo_min >= r_hi:
         raise ClearanceError("no room for prongs between beams and outer wall")
     r_lo = max(r_lo_min, r_hi - 0.4e-3)   # current hugs the outer prong face
@@ -551,19 +557,19 @@ def _compact_four(p, spt) -> SegmentList:
     # arc band: the ring material above/below the horizontal holes; the
     # effective current sheet sits just above the holes and hugs the outer
     # wall, which reproduces the measured gradient pattern of the solid part
-    z_lo = r_hole + margin
-    z_hi = p["height"] / 2.0 - margin
     if z_lo >= z_hi:
         raise ClearanceError("trap too short for ring sections above the beam holes")
-    r_arc_out = r_out - margin
-    arc_r = (r_arc_out - 0.35 * (r_arc_out - (r_hole + margin)), r_arc_out)
+    r_arc_out = r_out - _MARGIN
+    arc_r = (r_arc_out - 0.35 * (r_arc_out - z_lo), r_arc_out)
     z_top = z_lo + 0.1 * (z_hi - z_lo)
     n_arc = max(16, int(round(spt / 4.0)))
-    gamma = (gap / 2.0 + half_t) / r_prong  # angular stand-off at the contacts
+    # angular stand-off at the contacts
+    gamma = (p["gap"] / 2.0 + half_t) / r_prong
 
     offs_arc = _grid_offsets(0.5 * (arc_r[1] - arc_r[0]), 0.5 * (z_top - z_lo))
     offs_prong = _grid_offsets(half_r, half_t)
     nf = offs_arc.shape[0]
+    share = p["current_per_conductor"] / nf
     r_arc_mid = 0.5 * (arc_r[0] + arc_r[1])
     z_arc_mid = 0.5 * (z_lo + z_top)
 
@@ -591,7 +597,7 @@ def _compact_four(p, spt) -> SegmentList:
                        _offset_point(r_prong + dr_p, phi_d, z_lo, dt_p)]
             circuits.append(_closed_circuit(
                 [(top_arc, g_up), (prong_u, g_up),
-                 (bot_arc, g_dn), (prong_d, g_dn)], i_cond / nf, spt))
+                 (bot_arc, g_dn), (prong_d, g_dn)], share, spt))
     return _assemble(circuits, _CYL_TO_LAB)
 
 
@@ -607,36 +613,30 @@ def _two_piece(p, spt) -> SegmentList:
     at the centre exactly; the opposed ring circulations give the axial
     gradient.
     """
-    height, arm_depth, gap = p["height"], p["arm_depth"], p["gap"]
-    if p["hole_diameter"] + 2.0 * gap >= p["outer_diameter"]:
-        raise ClearanceError("hole plus gaps exceeds conductor diameter")
-    r_out = p["outer_diameter"] / 2.0
-    r_hole = p["hole_diameter"] / 2.0
-    margin = 0.2e-3
-    i_cond = p["current_per_conductor"]
+    height, arm_depth = p["height"], p["arm_depth"]
+    r_out, r_hole, z_lo, z_hi = _ring(p, "outer_diameter", "diameter")
 
     half_t = p["arm_width"] / 2.0 * 0.4   # filament spread, not the solid width
     half_r = arm_depth / 2.0 * 0.6
-    r_arm = r_out - margin - arm_depth / 2.0
+    r_arm = r_out - _MARGIN - arm_depth / 2.0
     delta = (half_t) / (r_arm - half_r)
     if (r_arm - half_r) * math.sin(math.pi / 4.0 - delta) < r_hole:
         raise ClearanceError("arms intrude into the beam volume")
 
-    z_lo = r_hole + margin
-    z_hi = height / 2.0 - margin
     if z_lo >= z_hi:
         raise ClearanceError("trap too short for ring sections above the beam holes")
-    ring_r = (r_hole + margin, r_out - margin)
+    ring_r = (z_lo, r_out - _MARGIN)
     z_ring = 0.5 * (z_lo + z_hi)
     n_arc = max(32, int(round(spt * 0.75)))
     r_ring_mid = 0.5 * (ring_r[0] + ring_r[1])
-    gamma = (gap / 2.0 + half_t) / r_ring_mid
+    gamma = (p["gap"] / 2.0 + half_t) / r_ring_mid
     z_far = 0.25   # feed leads rejoin well above the trap
 
     p45, p135 = math.pi / 4.0, 3 * math.pi / 4.0
     offs_arm = _grid_offsets(half_r, half_t)
     offs_ring = _grid_offsets(0.5 * (ring_r[1] - ring_r[0]), 0.5 * (z_hi - z_lo))
     nf = offs_arm.shape[0]
+    share = p["current_per_conductor"] / nf
 
     # piece A: down the 45 deg arm, 270 deg clockwise around the bottom ring
     # (via 315/225 deg), up the 135 deg arm; the circuit closes through
@@ -655,7 +655,7 @@ def _two_piece(p, spt) -> SegmentList:
                  np.array([arm1[0][0], arm1[0][1], z_far])]
         piece_a.append(_closed_circuit(
             [(arm1, "piece_a"), (ring, "piece_a"),
-             (arm2, "piece_a"), (leads, "piece_a")], i_cond / nf, spt))
+             (arm2, "piece_a"), (leads, "piece_a")], share, spt))
 
     # piece B: point-inversion image with the current sense reversed (its
     # ring sits at the top); the pair is odd under inversion + reversal
@@ -719,26 +719,29 @@ def _twisted_cage_sections(p):
             for k in range(4)]
 
 
-def _compact_four_sections(p):
-    r_out = p["width"] / 2.0
+def _ring_section(p, outer, sweep):
+    """The hole radius, the half height and the (length, cross-section) of
+    the solid ring of `_ring` over `sweep` radians, along its mid-radius."""
+    r_out = p[outer] / 2.0
     r_hole = p["hole_diameter"] / 2.0
     half_h = p["height"] / 2.0
+    return r_hole, half_h, (sweep * 0.5 * (r_out + r_hole),
+                            (r_out - r_hole) * (half_h - r_hole))
+
+
+def _compact_four_sections(p):
+    r_hole, half_h, arc = _ring_section(p, "width", math.pi / 2.0)
     # to the arc's mid-plane, through the slim wedge between the beam holes
     prong = (p["hole_diameter"] + (half_h - r_hole), 2.0e-6)
-    arc = ((math.pi / 2.0) * 0.5 * (r_out + r_hole),
-           (r_out - r_hole) * (half_h - r_hole))
     return [Conductor(f"conductor{k}", p["current_per_conductor"], (prong, arc))
             for k in range(4)]
 
 
 def _two_piece_sections(p):
-    r_out = p["outer_diameter"] / 2.0
-    r_hole = p["hole_diameter"] / 2.0
-    half_h = p["height"] / 2.0
+    # a 270 deg ring
+    r_hole, half_h, ring = _ring_section(p, "outer_diameter", 1.5 * math.pi)
     z_ring = 0.5 * (r_hole + half_h)
     arm = (half_h + z_ring, p["arm_width"] * p["arm_depth"])
-    ring = (1.5 * math.pi * 0.5 * (r_out + r_hole),  # 270 deg sweep
-            (r_out - r_hole) * (half_h - r_hole))
     return [Conductor(g, p["current_per_conductor"], (arm, arm, ring))
             for g in ("piece_a", "piece_b")]
 

@@ -1,7 +1,10 @@
 """End-to-end CLI behaviour: exit codes, files, reproducibility."""
+import argparse
+import importlib.util
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,42 @@ def test_unusable_output_directory_is_exit_2(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied")
     assert run(["simulate", "--config", cfg, "--out", str(blocker)]) == 2
+
+
+@pytest.mark.parametrize("command, blocked", [("simulate", "report.json"),
+                                              ("optimize", "opt_trace.csv")])
+def test_unwritable_target_writes_nothing_and_is_exit_2(tmp_path, capsys,
+                                                       command, blocked):
+    # one target is a directory, so the command writes none of its files and
+    # leaves no temporary file
+    cfg = write_config(tmp_path, coil_config(objective={
+        "bounds_mm": {"separation": [30.0, 80.0]}}))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", str(out),
+                *(["--budget", "3"] if command == "optimize" else [])]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert not list((out / blocked).iterdir())
+
+
+def test_failed_write_removes_its_temporaries(tmp_path, capsys, monkeypatch):
+    real = cli.tempfile.mkstemp
+    made = []
+
+    def mkstemp(**kwargs):
+        if len(made) == 3:
+            raise OSError(28, "No space left on device")
+        made.append(real(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, coil_config())
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(made) == 3 and not list(out.iterdir())
 
 
 def test_missing_config_file_is_exit_2(tmp_path):
@@ -485,3 +524,17 @@ def test_every_section_ends_in_a_documented_exit_code(tmp_path_factory, doc):
     # every number in every report is finite
     for path in out.glob("*.json") if out.exists() else ():
         json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_byte_identity_gate_runs_every_subcommand(tmp_path, monkeypatch):
+    # the gate puts bench/ on sys.path to read its workloads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "byte_identity.py")
+    spec = importlib.util.spec_from_file_location("byte_identity", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    covered = {argv[0] for _, argv in gate.runs(str(tmp_path / "configs"))}
+    assert covered == set(subparsers.choices)

@@ -222,6 +222,29 @@ def test_twisted_cage_bar_collision_detected():
         mk.build(spec)
 
 
+_TOO_SHORT = "trap too short for ring sections above the beam holes"
+
+
+@pytest.mark.parametrize("variant, params, message", [
+    ("CompactFour", {"hole_diameter": 0.024}, "hole plus gaps exceeds conductor width"),
+    ("CompactFour", {"hole_diameter": 0.0225},
+     "no room for prongs between beams and outer wall"),
+    ("CompactFour", {"height": 0.0155}, _TOO_SHORT),
+    ("TwoPiece", {"hole_diameter": 0.026}, "hole plus gaps exceeds conductor diameter"),
+    ("TwoPiece", {"arm_depth": 0.004}, "arms intrude into the beam volume"),
+    ("TwoPiece", {"height": 0.0155}, _TOO_SHORT),
+    # a design that fails two checks gets the prong or arm check's message
+    ("CompactFour", {"height": 0.0155, "hole_diameter": 0.0225},
+     "no room for prongs between beams and outer wall"),
+    ("TwoPiece", {"height": 0.0155, "arm_depth": 0.004},
+     "arms intrude into the beam volume"),
+])
+def test_builder_clearance_errors_and_their_order(variant, params, message):
+    with pytest.raises(mk.ClearanceError) as info:
+        mk.build(mk.GeometrySpec(variant, params))
+    assert str(info.value) == message
+
+
 def test_clearance_check_against_beam_diameter():
     segs = mk.build(mk.GeometrySpec("TwoPiece"))
     ok, clearance = mk.clearance_check(segs, 0.015)

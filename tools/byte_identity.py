@@ -11,6 +11,7 @@ standard output, standard error and every file written to `--out`:
 
 * `optimize` on the `anti_helmholtz` preset, the one preset with an
   `objective` section;
+* `scale` at k = 4 and k = 0.5, which with `--out` writes `scaling.json`;
 * `simulate` and `export` on each of the 4 bundled presets, and on the
   geometries no preset holds: an open and a closed FreePath round one
   square, and a closed FreePath round two squares with opposite senses,
@@ -92,6 +93,8 @@ def runs(config_dir: str):
         yield f"simulate-{preset}", ["simulate", "--config", preset]
         yield f"export-{preset}", ["export", "--config", preset]
     yield "optimize-anti_helmholtz", ["optimize", "--config", "anti_helmholtz"]
+    for k in ("4", "0.5"):
+        yield f"scale-{k}", ["scale", k]
     os.makedirs(config_dir)
     for name, doc in EXTRA_CONFIGS.items():
         config = os.path.join(config_dir, f"{name}.json")
