@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ClearanceError, InvalidGeometry, InvalidInput
 
 # upper bound on the worst-case segment count of a build at a spec's
-# segments_per_turn; the presets need at most about 16,000
+# segments_per_turn, and on the points of a FreePath; the presets need at
+# most about 16,000
 MAX_SEGMENTS = 1_000_000
 # filaments per round bar (centre + hexagon) and per side of the n x n grid
 # over a rectangular section
@@ -158,6 +159,8 @@ def _check(key, kind, value):
         raise InvalidInput(f"{key} must be a positive length")
     if kind in (CURRENT, NUMBER) and not _finite(value):
         raise InvalidInput(f"{key} must be a finite number")
+    if kind == POINTS and isinstance(value, (list, tuple)) and len(value) > MAX_SEGMENTS:
+        raise InvalidInput(f"{key} exceeds the {MAX_SEGMENTS} point cap")
     if kind == POINTS and not (isinstance(value, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_finite, p))
             for p in value)):
@@ -474,8 +477,9 @@ def _twisted_cage(p, spt, _filaments=BUNDLE_FILAMENTS) -> SegmentList:
     below), which produces an axial gradient while keeping the field zero at
     the centre: a common (same-handed) twist would cancel the azimuthal
     currents pairwise and give no axial gradient at all.  Opposite-handed
-    bars converge towards the ends, so twist_angle is capped by the bar
-    collision check below (about 0.56 rad at the default dimensions).
+    bars converge towards the ends, where their angular gap and their height
+    difference are both least, so bars of diameter d clear each other iff
+    |twist_angle| < pi/4 - asin(d / 2R): 0.5613 rad at the defaults.
     Adjacent bar pairs close into series circuits through end arcs standing
     in for the physical end contacts, keeping every filament loop closed.
     Each bar is a bundle of `_filaments` filaments; the power model measures
@@ -486,16 +490,25 @@ def _twisted_cage(p, spt, _filaments=BUNDLE_FILAMENTS) -> SegmentList:
     r0 = p["outer_width"] / 2.0 - r_bar
     if r0 <= 0:
         raise InvalidGeometry("bar diameter exceeds cage width")
+    # at heights u1, u2 (u = 2z/h) adjacent bars lie pi/2 - a (u1^2 + u2^2)
+    # apart in angle, a = |twist_angle|, in the pairs that converge: (0, 1)
+    # and (2, 3) when twist_angle >= 0, else (1, 2) and (3, 0).  While
+    # a < pi/4, that angle and the height difference are both least at
+    # u1 = u2 = +-1, a chord of 2 r0 sin(pi/4 - a); from a = pi/4 the angle
+    # closes inside the cage.  The other adjacent pairs, pi/2 + a (u1^2 + u2^2)
+    # apart, and opposite bars, pi -+ a (u1^2 - u2^2), stay at least
+    # r0 sqrt(2) apart
+    twist = abs(twist_angle)
+    if twist >= math.pi / 4.0 or 2.0 * r0 * math.sin(math.pi / 4.0 - twist) <= bar_diameter:
+        raise InvalidGeometry(f"bars 0 and {1 if twist_angle >= 0 else 3} intersect")
     n_pts = max(33, spt // 4 + 1)
     t = np.linspace(-0.5, 0.5, n_pts)
     z = t * height
-    centrelines = []
     filaments = []   # filaments[k][j] = point array of filament j of bar k
     for k in range(4):
         sign = 1.0 if k % 2 == 0 else -1.0
         phi = k * np.pi / 2.0 + sign * twist_angle * (2.0 * z / height) ** 2
         centre = np.column_stack([r0 * np.cos(phi), r0 * np.sin(phi), z])
-        centrelines.append(centre)
         # local transverse frame along the bar
         tang = np.gradient(centre, axis=0)
         tang /= np.linalg.norm(tang, axis=1)[:, None]
@@ -505,12 +518,6 @@ def _twisted_cage(p, spt, _filaments=BUNDLE_FILAMENTS) -> SegmentList:
         e2 = np.cross(tang, e1)
         filaments.append([centre + du * e1 + dv * e2
                           for du, dv in _hex_offsets(r_bar, _filaments)])
-    # bar paths must not touch
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = np.linalg.norm(centrelines[i][:, None, :] - centrelines[j][None, :, :], axis=2)
-            if d.min() <= bar_diameter:
-                raise InvalidGeometry(f"bars {i} and {j} intersect")
     # each up-bar pairs with the next down-bar into one closed circuit, the
     # joining end arcs standing in for the physical end-ring contacts
     share = p["current"] / _filaments

@@ -526,15 +526,39 @@ def test_every_section_ends_in_a_documented_exit_code(tmp_path_factory, doc):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
-def test_byte_identity_gate_runs_every_subcommand(tmp_path, monkeypatch):
+@pytest.fixture
+def gate(monkeypatch):
+    """The `tools/byte_identity.py` module."""
     # the gate puts bench/ on sys.path to read its workloads
     monkeypatch.setattr(sys, "path", list(sys.path))
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "byte_identity.py")
     spec = importlib.util.spec_from_file_location("byte_identity", path)
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_byte_identity_gate_runs_every_subcommand(tmp_path, gate):
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     covered = {argv[0] for _, argv in gate.runs(str(tmp_path / "configs"))}
     assert covered == set(subparsers.choices)
+
+
+def test_byte_identity_gate_compares_every_exit_code(tmp_path, gate, capsys):
+    expected = {
+        "twisted_cage_crossing": (2, 2, "bars 0 and 1 intersect"),
+        "compact_four_no_prongs": (3, 3, "no room for prongs between beams and outer wall"),
+        "free_path_wire": (4, 0, "|B| minimum lies on the search-region boundary")}
+    codes = set()
+    for label, argv in gate.runs(str(tmp_path / "configs")):
+        command, name = label.split("-", 1)
+        if name in expected:
+            code = run([*argv, "--out", str(tmp_path / label)])
+            simulate_code, export_code, message = expected[name]
+            assert code == (simulate_code if command == "simulate" else export_code)
+            err = capsys.readouterr().err
+            assert err == (f"error: {message}\n" if code else "")
+            codes.add(code)
+    assert codes == {0, 2, 3, 4}

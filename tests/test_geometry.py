@@ -1,5 +1,6 @@
 """Geometry generators, spec round-trips, and clearance checks."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,17 @@ def test_spec_rejects_malformed_points():
         mk.SegmentList([(0, 0)], [(1, 0)], [1.0], ["g"])
 
 
+def test_free_path_points_are_capped():
+    # more points than MAX_SEGMENTS are rejected before any point is read,
+    # from the Python API and from a config
+    points = [(0.0, 0.0, 0.0)] * (geometry.MAX_SEGMENTS + 1)
+    for make in (lambda: mk.GeometrySpec("FreePath", {"points": points}),
+                 lambda: mk.GeometrySpec.from_json_dict(
+                     {"variant": "FreePath", "parameters": {"points": points}})):
+        with pytest.raises(InvalidInput, match="exceeds the 1000000 point cap"):
+            make()
+
+
 def test_read_fields_checks_each_kind():
     g = mk.geometry
     kinds = {"l": g.LENGTH, "n": g.NUMBER, "i": g.CURRENT, "c": g.COUNT,
@@ -217,9 +229,67 @@ def test_field_zero_at_center_by_symmetry():
 
 
 def test_twisted_cage_bar_collision_detected():
-    spec = mk.GeometrySpec("TwistedCage", {"twist_angle": 1.2})
-    with pytest.raises(InvalidGeometry):
+    # the pair named is one that converges; 1 mm bars at 1.6 rad cross
+    # between any two centreline samples of a 360-segment build
+    for params, pair in (({"twist_angle": 1.2}, "0 and 1"),
+                         ({"twist_angle": 1.6, "bar_diameter": 0.001}, "0 and 1"),
+                         ({"twist_angle": -1.6, "bar_diameter": 0.001}, "0 and 3")):
+        with pytest.raises(InvalidGeometry, match=f"^bars {pair} intersect$"):
+            mk.build(mk.GeometrySpec("TwistedCage", params))
+
+
+def test_twisted_cage_twist_cap_at_the_defaults():
+    # pi/4 - asin(d / 2 r0) with d = 10 mm and r0 = 22.5 mm: 0.56131 rad
+    p = mk.GeometrySpec("TwistedCage").parameters
+    r0 = (p["outer_width"] - p["bar_diameter"]) / 2.0
+    assert math.pi / 4 - math.asin(p["bar_diameter"] / (2 * r0)) == pytest.approx(
+        0.56131, abs=1e-5)
+    mk.build(mk.GeometrySpec("TwistedCage", {"twist_angle": 0.5612}))
+    with pytest.raises(InvalidGeometry, match="bars 0 and 1 intersect"):
+        mk.build(mk.GeometrySpec("TwistedCage", {"twist_angle": 0.5614}))
+
+
+def _centreline_gap(r0, height, twist, n=1001, block=101):
+    """Least distance between the centrelines of any two cage bars, over n
+    points per bar, pair by pair and block by block."""
+    z = np.linspace(-height / 2, height / 2, n)
+    bars = []
+    for k in range(4):
+        phi = k * np.pi / 2 + (-1) ** k * twist * (2 * z / height) ** 2
+        bars.append(np.column_stack([r0 * np.cos(phi), r0 * np.sin(phi), z]))
+    return min(np.linalg.norm(bars[i][lo:lo + block, None] - bars[j][None], axis=2).min()
+               for i in range(4) for j in range(i + 1, 4) for lo in range(0, n, block))
+
+
+def test_twisted_cage_contact_matches_a_dense_search():
+    # r0 stays fixed as the bar diameter moves, so the centrelines do too:
+    # a cage builds just below their least gap and raises just above it
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        r0, height = rng.uniform(0.005, 0.04), rng.uniform(0.01, 0.15)
+        twist = rng.uniform(-0.78, 0.78)
+        gap = _centreline_gap(r0, height, twist)
+        for bar, ok in ((gap - 1e-9, True), (gap + 1e-9, False)):
+            spec = mk.GeometrySpec("TwistedCage", {
+                "height": height, "outer_width": 2 * r0 + bar,
+                "bar_diameter": bar, "twist_angle": twist}, segments_per_turn=24)
+            if ok:
+                mk.build(spec)
+            else:
+                with pytest.raises(InvalidGeometry, match="intersect"):
+                    mk.build(spec)
+
+
+def test_twisted_cage_build_memory_stays_small():
+    # the bar check places no points, so a build holds its filaments only
+    spec = mk.GeometrySpec("TwistedCage", segments_per_turn=4000)
+    tracemalloc.start()
+    try:
         mk.build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 _TOO_SHORT = "trap too short for ring sections above the beam holes"

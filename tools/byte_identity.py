@@ -18,6 +18,10 @@ standard output, standard error and every file written to `--out`:
   once centred and once shifted off the centre with even map sizes;
 * `simulate` and `export` of TwistedCage, CompactFour and TwoPiece at 24
   segments per turn, so that each builder runs at a second resolution;
+* `simulate` and `export` of three configs that fail: a TwistedCage whose
+  bars cross (exit 2), a CompactFour with no room for its prongs (exit 3),
+  and a straight FreePath wire, on which `simulate` finds no |B| minimum
+  (exit 4) and `export` exits 0;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
@@ -67,6 +71,14 @@ EXTRA_CONFIGS = {
                        for x, y, z in SQUARE_PAIR],
             "closed": True, "current": 5}},
         "analysis": {"plane_points": 20, "scan_points": 40}},
+    # configs that fail, so that exit codes 2, 3 and 4 and their messages
+    # are compared too; export of the wire exits 0
+    "twisted_cage_crossing": {"geometry": {
+        "variant": "TwistedCage", "parameters": {"twist_angle": 1.2}}},
+    "compact_four_no_prongs": {"geometry": {
+        "variant": "CompactFour", "parameters": {"hole_diameter": 22.5}}},
+    "free_path_wire": {"geometry": {"variant": "FreePath", "parameters": {
+        "points": [[10, 0, -1000], [10, 0, 1000]]}}},
     **{f"{name}_spt24": {"geometry": {
         "variant": variant, "discretization": {"segments_per_turn": 24}}}
        for name, variant in (("twisted_cage", "TwistedCage"),
