@@ -11,7 +11,7 @@ extension, and is singular only on the segment itself.  `field_many`
 evaluates it for many points at once and marks points within EPS_SING of a
 filament as NaN rows; `field_at` raises SingularPoint for them instead.
 `field_many` walks the points in blocks that write into one set of scratch
-arrays, allocated once per call; the rows are bitwise the same whatever the
+arrays, sized for one block; the rows are bitwise the same whatever the
 block size.
 
 Consecutive filaments of a path share a vertex, so each vertex's offset
@@ -44,19 +44,33 @@ with the same element operations, so a map is bitwise `field_many` at its
 positions.  The tables, segment data and block scratch stay within about
 1.75 MB.
 
-A call of at least _ALIGN_PAIRS point-segment pairs takes its segment data
-and every scratch array from `_aligned`, which starts each component plane
-(a block's rows by the segments) on a 64-byte cache line and pads the plane,
-not its rows, to whole lines.  `np.empty` starts such arrays 16, 32 or 48
-bytes past a line, where numpy's AVX-512 add or multiply of 7,920 doubles
-takes 6.5-9.1 us against 3.7 us aligned.  Smaller calls, such as a Newton
-step's stencil on a small geometry, keep `np.empty`, because placing an
-array costs a few us of Python.
+Every component plane of the kernel's scratch (a block's rows by the
+segments), and of a large call's segment tables, starts on a 64-byte cache
+line, and is padded, not its rows, to whole lines.  `np.empty`
+starts such arrays 16, 32 or 48 bytes past a line, where numpy's AVX-512 add
+or multiply of 7,920 doubles takes 6.5-9.1 us against 3.7 us aligned.
+
+A call of fewer than _OWN_SCRATCH_PAIRS point-segment pairs, such as a
+Newton step's stencil or a gradient fit on a small geometry, takes its
+scratch from its thread's `_Workspace`: one line-aligned buffer that outlives
+the call, and the views of the last few layouts placed in it.  A call whose
+layout recurs, as each of the optimizer's 7-, 1- and 123-point calls does on
+every geometry of 48 segments, reuses its views and allocates no scratch.
+The buffer grows to the largest small call's scratch and stays: about
+1.1 MB for `field_many` up to 8192 segments and 2.1 MB beyond, and at most
+2.8 MB for a map.  With scratch allocated and freed per call, glibc could
+trim it off the heap top after each call and the next call fault it back
+in, so a 123-point call at 48 segments took about 1.6 times as long in some
+processes as in others.  A larger call allocates its own scratch from
+`_aligned`, one array at a time, freed when it returns: each allocation is
+spread over many blocks, and a workspace that kept such arrays would keep
+that much memory for good.
 """
 from __future__ import annotations
 
 import ctypes
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +83,12 @@ EPS_SING = 1e-7              # m: singular tube radius around each filament
 _CHUNK_PAIRS = 8192          # point-segment pairs per kernel block
 _PANEL_PAIRS = 16384         # point-segment pairs per grid column panel
 _LINE = 64                   # bytes per cache line
-# point-segment pairs from which a call aligns its scratch: placing its
-# dozen or so arrays costs about 40 us of Python, which one block does not
-# win back (a 123-point call at 48 segments took 12 % longer)
-_ALIGN_PAIRS = 2 * _CHUNK_PAIRS
+# point-segment pairs from which a call allocates its own scratch; smaller
+# calls take theirs from their thread's workspace
+_OWN_SCRATCH_PAIRS = 2 * _CHUNK_PAIRS
+# layouts whose views a workspace keeps: the optimizer's three calls, and
+# the scans of a small geometry's report
+_LAYOUTS = 8
 # |r1||r2| + r1.r2 loses about u / (4 e) of its value, with
 # e = (|r1| + |r2|) / |l| - 1, so pairs with r1.r2 < 0 and e below this take
 # its stable form instead; outside them the loss is at most about 3e-14
@@ -123,6 +139,18 @@ def _distance_to_segments(p, starts, ends):
     return np.linalg.norm(p - closest, axis=1)
 
 
+def _planes(shape, dtype):
+    """The layout `_aligned` gives an array of `shape`: its planes over the
+    last two axes (one for a shape of one axis) as the rows of a `rows`
+    array of `dtype`, each row's first `size` items the plane and the rest
+    padding to whole lines; and the layout's size in bytes."""
+    size = shape[-1] * (shape[-2] if len(shape) > 1 else 1)
+    itemsize = np.dtype(dtype).itemsize
+    per_line = _LINE // itemsize
+    rows = (math.prod(shape[:-2]), -(-size // per_line) * per_line)
+    return rows, size, rows[0] * rows[1] * itemsize
+
+
 def _aligned(shape, dtype=float):
     """An uninitialized array of `shape` in which each plane over the last
     two axes, such as one component of a block's (rows, segments) table, is
@@ -135,15 +163,55 @@ def _aligned(shape, dtype=float):
     at a time, which made kernel calls on 721 to 1300 segments 1.5-1.8
     times slower.  The memory is freed with the array.
     """
-    size = shape[-1] * (shape[-2] if len(shape) > 1 else 1)
-    itemsize = np.dtype(dtype).itemsize
-    per_line = _LINE // itemsize
-    padded = -(-size // per_line) * per_line
-    count = math.prod(shape[:-2])
-    raw = np.empty(count * padded * itemsize + _LINE, np.uint8)
+    rows, size, nbytes = _planes(shape, dtype)
+    raw = np.empty(nbytes + _LINE, np.uint8)
     skip = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % _LINE
-    planes = np.ndarray((count, padded), dtype, raw, skip)
-    return planes[:, :size].reshape(shape)
+    return np.ndarray(rows, dtype, raw, skip)[:, :size].reshape(shape)
+
+
+class _Workspace(threading.local):
+    """One thread's scratch for the kernel calls of fewer than
+    _OWN_SCRATCH_PAIRS pairs.
+
+    `raw` is a line-aligned buffer, grown to the largest layout placed in
+    it and never shrunk.  `views` maps each of the last _LAYOUTS layouts,
+    as their (shape, dtype) specs, to their arrays in `raw`, so that a call
+    whose layout recurs, such as each of the optimizer's calls on its
+    geometry, allocates nothing: cutting a call's views anew costs more
+    than allocating them.  A kernel holds the workspace while `busy` (see
+    `_Kernel.__enter__`).
+    """
+
+    def __init__(self):
+        self.raw = np.empty(0, np.uint8)
+        self.views = {}
+        self.busy = False
+
+    def take(self, specs):
+        """Arrays of the (shape, dtype) `specs`, each laid out as `_aligned`
+        lays it out, one after another in `raw`."""
+        arrays = self.views.get(specs)
+        if arrays is None:
+            layouts = [_planes(*spec) for spec in specs]
+            need = sum(nbytes for _, _, nbytes in layouts)
+            if need > self.raw.size:
+                # free the old buffer, which the old views hold too, before
+                # the new one is allocated
+                self.views.clear()
+                self.raw = None
+                self.raw = _aligned((need,), np.uint8)
+            elif len(self.views) == _LAYOUTS:
+                del self.views[next(iter(self.views))]
+            arrays, offset = [], 0
+            for (shape, dtype), (rows, size, nbytes) in zip(specs, layouts):
+                arrays.append(np.ndarray(rows, dtype, self.raw, offset)
+                              [:, :size].reshape(shape))
+                offset += nbytes
+            self.views[specs] = arrays
+        return arrays
+
+
+_workspace = _Workspace()
 
 
 # The level of a grid table says what its rows vary with.  A table formed
@@ -160,33 +228,39 @@ class _Kernel:
     products its own way, and hands each block of points to `_sums`, the
     one body of the per-pair arithmetic, whose inputs broadcast.
 
-    A kernel serves one call of `count` points; `alloc` places its segment
-    data and scratch, `_aligned` if the call has at least _ALIGN_PAIRS
-    point-segment pairs and np.empty otherwise.
+    A kernel serves one call of `count` points, inside a `with` block.  Its
+    segment data is its own.  Its scratch comes from `_scratch`: views of
+    the thread's workspace if the call has fewer than _OWN_SCRATCH_PAIRS
+    point-segment pairs and the kernel holds the workspace, else new arrays
+    from `_aligned`.
     """
 
     def __init__(self, segments: SegmentList, count: int):
         self.n = n = len(segments)
         # points per block: at most _CHUNK_PAIRS pairs, at least one point
         self.rows = max(1, _CHUNK_PAIRS // n)
-        self.alloc = alloc = (_aligned if count * n >= _ALIGN_PAIRS
-                              else np.empty)
+        self.small = count * n < _OWN_SCRATCH_PAIRS
+        self.workspace = None
+        # the segment tables are the kernel's own.  A small call's come from
+        # np.empty: placing its four arrays on lines took 16 of the 80 us
+        # of a 1-point call at 48 segments
+        table = np.empty if self.small else _aligned
         # segment starts a as (3, n), one row per component; ends b alike
-        self.starts = starts = alloc((3, 1, n))[:, 0]   # a plane each
+        self.starts = starts = table((3, 1, n))[:, 0]   # a plane each
         starts[...] = segments.starts.T
         self.ends = ends = segments.ends.T
         line = ends - starts
-        self.length_sq = length_sq = alloc((n,))
+        self.length_sq = length_sq = table((n,))
         np.multiply(line[0], line[0], out=length_sq)
         length_sq += line[1] * line[1]
         length_sq += line[2] * line[2]
-        self.k = alloc((n,))
+        self.k = table((n,))
         np.multiply(MU_0 / (4.0 * math.pi), segments.currents, out=self.k)
         # the denominator may cancel where |r1| + |r2| < cancel_reach.  A
         # point within d of a segment has |r1| + |r2| <= |l| + 2d; the
         # screen doubles that margin for d = EPS_SING so that rounding
         # cannot drop a row, and takes in the cancelling pairs too
-        self.reach = alloc((n,))
+        self.reach = table((n,))
         np.sqrt(length_sq, out=self.reach)
         self.cancel_reach = self.reach * (1.0 + _CANCEL)
         self.reach += 4.0 * EPS_SING
@@ -196,6 +270,27 @@ class _Kernel:
         self.brk = np.flatnonzero(np.append(
             (ends[:, :-1] != starts[:, 1:]).any(axis=0), True))
         self.brk_ends = ends[:, self.brk]
+
+    def __enter__(self):
+        """Hold the thread's workspace if the call is small and no other
+        call holds it.  One that does is a call that this one interrupts:
+        from a signal handler, or from inside one of its blocks."""
+        workspace = _workspace
+        if self.small and not workspace.busy:
+            workspace.busy = True
+            self.workspace = workspace
+        return self
+
+    def __exit__(self, *exc):
+        if self.workspace is not None:
+            self.workspace.busy = False
+            self.workspace = None
+
+    def _scratch(self, specs):
+        """Arrays of the (shape, dtype) `specs`, each plane on a line."""
+        if self.workspace is not None:
+            return self.workspace.take(specs)
+        return [_aligned(shape, dtype) for shape, dtype in specs]
 
     def _sums(self, sq, dots, brk_sq, r1, r2, cross, scratch, out):
         """Field of the t points of one block into `out` (t, 3): each row
@@ -279,19 +374,20 @@ class _Kernel:
         """Field at arbitrary (N, 3) points, every table formed per pair.
 
         Points are walked in blocks of at most _CHUNK_PAIRS pairs (at least
-        one point each), all writing into scratch allocated once per call.
+        one point each), all writing into one set of scratch, sized for one
+        block.
         """
-        n, brk, rows, alloc = self.n, self.brk, self.rows, self.alloc
+        n, brk, rows = self.n, self.brk, self.rows
         m = min(rows, points.shape[0])
-        r1_buf = alloc((3, m, n))           # point minus segment start
-        r2_buf = alloc((3, m, n))           # point minus segment end
-        # products, then squares and the body's work, and dots
-        prod_buf = alloc((2, 3, m, n))
-        cross_buf = alloc((3, m, n))        # r1 x r2
-        brk_buf = alloc((2, 3, m, brk.size))  # r2 at the breaks, squared
-        tmp_buf = alloc((m, n))
-        hit_buf = alloc((m, n), dtype=bool)
-        brk_norm_buf = alloc((m, brk.size))
+        (r1_buf,          # point minus segment start
+         r2_buf,          # point minus segment end
+         prod_buf,        # products, then squares and the body's work; dots
+         cross_buf,       # r1 x r2
+         brk_buf,         # r2 at the breaks, squared
+         tmp_buf, hit_buf, brk_norm_buf) = self._scratch((
+             ((3, m, n), float), ((3, m, n), float), ((2, 3, m, n), float),
+             ((3, m, n), float), ((2, 3, m, brk.size), float), ((m, n), float),
+             ((m, n), bool), ((m, brk.size), float)))
         out = np.empty(points.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, points.shape[0], rows):
@@ -369,7 +465,7 @@ class _Kernel:
         operation is one that `points` performs, so the rows are bitwise
         the same.
         """
-        n, nb, alloc = self.n, self.brk.size, self.alloc
+        n, nb = self.n, self.brk.size
         U, V = shape
         block = min(V, self.rows)
         # one row reuses no column table, so its panel is one block
@@ -378,21 +474,23 @@ class _Kernel:
         lv = [(c.shape[0] > 1) | 2 * (c.shape[1] > 1) for c in coords]
         # the coordinates that vary with both indices, as (U, V, 1) arrays
         pair = [(c, coords[c][..., None]) for c in range(3) if lv[c] == _PAIR]
-        tab = [alloc((4, size[level], n)) for level in lv]
-        brk_tab = [alloc((2, size[level], nb)) for level in lv]
         first = lv[0] | lv[1]
-        sums = alloc((2, size[first], n))
-        brk_sum = alloc((size[first], nb))
         cross_lv = (lv[1] | lv[2], lv[2] | lv[0], first)
-        cross = [alloc((size[level], n)) for level in cross_lv]
         # the body's (3, t, n) scratch is free outside the body, so each
-        # cross component's second product goes there too; at the default
-        # sizes a panel is at most 3 blocks, so this costs nothing extra.
-        # `room` is one plane, so the body's planes start on a line only
-        # when block * n is a multiple of 8
-        room = alloc((max(3 * block, panel), n))
-        scratch = (room[:3 * block].reshape(3, block, n), alloc((block, n)),
-                   alloc((block, n), dtype=bool), alloc((block, nb)))
+        # cross component's second product goes there too, in `room`; at the
+        # default sizes a panel is at most 3 blocks, so this costs nothing
+        # extra.  `room` is one plane, so the body's planes start on a line
+        # only when block * n is a multiple of 8
+        arrays = self._scratch(tuple(
+            [((4, size[level], n), float) for level in lv]
+            + [((2, size[level], nb), float) for level in lv]
+            + [((2, size[first], n), float), ((size[first], nb), float)]
+            + [((size[level], n), float) for level in cross_lv]
+            + [((max(3 * block, panel), n), float), ((block, n), float),
+               ((block, n), bool), ((block, nb), float)]))
+        tab, brk_tab = arrays[:3], arrays[3:6]
+        sums, brk_sum, *cross, room = arrays[6:12]
+        scratch = (room[:3 * block].reshape(3, block, n), *arrays[12:])
         spare = {level: room[:size[level]] for level in cross_lv}
         # the tables formed from two coordinates', as (level, function,
         # (table, its level) for each argument)
@@ -473,18 +571,20 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
 
     Points are walked in blocks of at most _CHUNK_PAIRS point-segment pairs
     (at least one point each), which bounds the scratch arrays and keeps
-    them in cache.  The scratch is allocated once per call, sized for one
-    block, and every block writes into it, so no block allocates
-    (points x segments) temporaries.  Each row sums over the segments in
-    stored order along a contiguous axis, so the result is bitwise
-    independent of the block size.
+    them in cache.  The scratch is sized for one block, and every block
+    writes into it, so no block allocates (points x segments) temporaries.
+    A small call takes it from the thread's workspace, and a larger one
+    allocates its own.  Each row sums over the segments in stored order
+    along a contiguous axis, so the result is bitwise independent of the
+    block size.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidInput("field points must be an (N, 3) array")
     if not np.isfinite(points).all():
         raise InvalidInput("field points must be finite")
-    return _Kernel(segments, points.shape[0]).points(points)
+    with _Kernel(segments, points.shape[0]) as kernel:
+        return kernel.points(points)
 
 
 def _vector(value, what: str) -> np.ndarray:
@@ -540,7 +640,8 @@ def _sample(segments, center, axes, half_range, n) -> FieldMap:
     # a line is one row of the grid
     grid = grid.reshape(-1, n, 3)
     positions = grid.reshape(-1, 3)
-    B = _Kernel(segments, len(positions)).grid(_separable(grid), grid.shape[:2])
+    with _Kernel(segments, len(positions)) as kernel:
+        B = kernel.grid(_separable(grid), grid.shape[:2])
     if np.all(np.isnan(B[:, 0])):
         raise EmptySample("every sample point is singular")
     return FieldMap(positions=positions, B=B)

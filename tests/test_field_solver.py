@@ -3,6 +3,7 @@ import decimal
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -403,8 +404,8 @@ def square_pairs():
 
 PRESETS = ("AntiHelmholtz", "TwoPiece", "CompactFour", "TwistedCage")
 # segment counts that are not a multiple of the 8 doubles of a cache line:
-# a call on 9 segments stays below the pair count from which it aligns its
-# scratch, and a map on 1001 segments reaches it
+# a call on 9 segments stays below the pair count from which it allocates
+# its own scratch, and a map on 1001 segments reaches it
 ODD_COUNTS = {
     "FreePath9": lambda: mk.make_free_path(
         [(0.02 * math.cos(a), 0.03 * math.sin(a), 0.002 * a)
@@ -564,8 +565,10 @@ def test_oblique_and_signed_zero_maps_are_bitwise_the_reference():
                                               ("Loop1001", True)])
 def test_odd_count_maps_are_bitwise_the_reference(variant, aligned):
     segs = ODD_COUNTS[variant]()
-    kernel = mk.field._Kernel(segs, 21 * 21)
-    assert (kernel.alloc is mk.field._aligned) == aligned
+    # a 21 x 21 map on 9 segments takes its scratch from the thread's
+    # workspace; on 1001 segments it allocates its own from `_aligned`
+    with mk.field._Kernel(segs, 21 * 21) as kernel:
+        assert (kernel.workspace is None) == aligned
     for axes in PLANES + OBLIQUE:
         assert_map_is_bitwise_the_reference(segs, (2e-3, -1e-3, 0.01), axes,
                                             0.03, 21)
@@ -664,6 +667,174 @@ def test_sample_plane_temporaries_stay_under_2_mb(variant, n):
         finally:
             tracemalloc.stop()
         assert peak - fmap.B.nbytes - fmap.positions.nbytes < 2e6, axes
+
+
+def coil(radius, separation, per_turn=24):
+    """An anti-Helmholtz pair of 2 * per_turn segments, as the optimizer's
+    evaluations build them."""
+    return mk.build(mk.GeometrySpec(
+        "AntiHelmholtz", {"radius": radius, "separation": separation,
+                          "current": 100.0}, segments_per_turn=per_turn))
+
+
+def small_calls(segs, seed):
+    """The point sets of the optimizer's three small calls per evaluation
+    (a 7-point stencil, one point, a 123-point fit), the first with a
+    singular point on a vertex."""
+    rng = np.random.default_rng(seed)
+    calls = [rng.uniform(-3e-3, 3e-3, size=(count, 3)) for count in (7, 1, 123)]
+    calls[0][3] = segs.starts[5]
+    return calls
+
+
+def test_interleaved_small_calls_are_bitwise_the_reference():
+    # two 48-segment geometries share the workspace's layouts; at 720
+    # segments the 7- and 1-point calls take other ones and the 123-point
+    # call its own scratch
+    geometries = [coil(0.04, 0.06), coil(0.03, 0.05), coil(0.05, 0.05, 360)]
+    assert [len(segs) for segs in geometries] == [48, 48, 720]
+    cases = [(segs, points, reference_field(segs, points))
+             for k, segs in enumerate(geometries)
+             for points in small_calls(segs, k)]
+    assert np.isnan(cases[0][2][3, 0])
+    for _ in range(3):
+        for segs, points, expected in cases:
+            B = mk.field_many(segs, points)
+            assert B.tobytes() == expected.tobytes()
+
+
+def test_two_live_kernels_keep_their_own_segment_tables():
+    first, second = coil(0.04, 0.06), coil(0.03, 0.05)
+    points = small_calls(first, 1)[2]
+    a = mk.field._Kernel(first, len(points))
+    b = mk.field._Kernel(second, len(points))
+    for name in ("starts", "k", "reach"):
+        assert not np.shares_memory(getattr(a, name), getattr(b, name))
+    with a:
+        B = a.points(points)
+    assert B.tobytes() == reference_field(first, points).tobytes()
+    with b:
+        assert b.points(points).tobytes() == (
+            reference_field(second, points).tobytes())
+    # the output is a fresh array, which a later call does not overwrite
+    mk.field_many(first, points[::-1].copy())
+    assert B.tobytes() == reference_field(first, points).tobytes()
+
+
+def test_call_inside_a_block_takes_its_own_scratch(monkeypatch):
+    # the inner call has the outer one's layout, so in the workspace it
+    # would overwrite the outer block's tables before its body reads them
+    outer, inner = coil(0.04, 0.06), coil(0.03, 0.05)
+    points = small_calls(outer, 2)[2]
+    inner_points = small_calls(inner, 3)[2]
+    sums = mk.field._Kernel._sums
+    inner_results = []
+
+    def reentrant(self, *args):
+        if not inner_results:
+            assert mk.field._workspace.busy
+            # marked first, since the inner call's own blocks come here too
+            inner_results.append(None)
+            inner_results[0] = mk.field_many(inner, inner_points)
+        return sums(self, *args)
+
+    monkeypatch.setattr(mk.field._Kernel, "_sums", reentrant)
+    B = mk.field_many(outer, points)
+    assert B.tobytes() == reference_field(outer, points).tobytes()
+    assert inner_results[0].tobytes() == (
+        reference_field(inner, inner_points).tobytes())
+    assert not mk.field._workspace.busy
+
+
+def test_threads_keep_their_own_workspaces():
+    # more threads than cores, each on its own geometry, switching often
+    geometries = [coil(0.04, 0.06), coil(0.03, 0.05), coil(0.05, 0.04),
+                  coil(0.035, 0.07)]
+    calls = [small_calls(segs, k) for k, segs in enumerate(geometries)]
+    serial = [[mk.field_many(segs, points).tobytes() for points in sets]
+              for segs, sets in zip(geometries, calls)]
+    start = threading.Barrier(len(geometries))
+    results = [[] for _ in geometries]
+
+    def run(k):
+        start.wait()
+        for i in range(50):
+            points = calls[k][i % 3]
+            results[k].append(mk.field_many(geometries[k], points).tobytes())
+
+    threads = [threading.Thread(target=run, args=(k,))
+               for k in range(len(geometries))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(geometries)):
+        assert results[k] == [serial[k][i % 3] for i in range(50)]
+
+
+def test_repeated_small_call_allocates_only_its_output():
+    segs = coil(0.04, 0.06)
+    points = small_calls(segs, 4)[2]
+    mk.field_many(segs, points)
+    views = dict(mk.field._workspace.views)
+    tracemalloc.start()
+    try:
+        B = mk.field_many(segs, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the call took the views that the first one placed
+    assert views and all(mk.field._workspace.views[specs] is arrays
+                         for specs, arrays in views.items())
+    # the scratch, about 0.8 MB, is the workspace's.  numpy 2.4 still
+    # allocates iterator buffers inside a ufunc that broadcasts an operand,
+    # as the kernel's segment tables are: up to two of the block's doubles
+    buffers = 2 * 8 * len(points) * len(segs)
+    assert peak - B.nbytes < buffers + 20e3
+
+
+def test_workspace_holds_at_most_one_full_block():
+    # in a new thread, whose workspace starts empty
+    segs = coil(0.04, 0.06)
+    n, nb = len(segs), 2      # two closed loops: two break columns
+    rows = _CHUNK_PAIRS // n
+    points = np.random.default_rng(5).uniform(-3e-3, 3e-3, size=(2000, 3))
+    seen = {}
+
+    def run():
+        # the largest layout first, so that the smaller ones reuse its
+        # buffer and the workspace keeps only the last few sets of views
+        for count in range(300, 0, -1):
+            mk.field_many(segs, points[:count])
+        mk.field_many(segs, points)
+        workspace = mk.field._workspace
+        seen["bytes"] = workspace.raw.nbytes
+        seen["arrays"] = [a for arrays in workspace.views.values()
+                          for a in arrays]
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+
+    def lines(nbytes):
+        return -(-nbytes // 64) * 64
+
+    # 16 planes of doubles and one of booleans over the block's pairs, and
+    # 7 planes of doubles at its break columns
+    block = (16 * lines(8 * rows * n) + lines(rows * n)
+             + 7 * lines(8 * rows * nb))
+    assert 0 < seen["bytes"] <= block
+    assert len(seen["arrays"]) <= 8 * mk.field._LAYOUTS
+    for a in seen["arrays"]:
+        for index in np.ndindex(a.shape[:-2]):
+            assert a[index].ctypes.data % 64 == 0
 
 
 def test_field_many_nan_rows_exactly_within_eps_sing():
