@@ -86,9 +86,9 @@ _LINE = 64                   # bytes per cache line
 # point-segment pairs from which a call allocates its own scratch; smaller
 # calls take theirs from their thread's workspace
 _OWN_SCRATCH_PAIRS = 2 * _CHUNK_PAIRS
-# layouts whose views a workspace keeps: the optimizer's three calls, and
-# the scans of a small geometry's report
-_LAYOUTS = 8
+# layouts whose views a workspace keeps: the most that one workload's small
+# calls take, the optimizer's 7-, 1- and 123-point calls at 48 segments
+_LAYOUTS = 3
 # |r1||r2| + r1.r2 loses about u / (4 e) of its value, with
 # e = (|r1| + |r2|) / |l| - 1, so pairs with r1.r2 < 0 and e below this take
 # its stable form instead; outside them the loss is at most about 3e-14
@@ -196,9 +196,10 @@ class _Workspace(threading.local):
             need = sum(nbytes for _, _, nbytes in layouts)
             if need > self.raw.size:
                 # free the old buffer, which the old views hold too, before
-                # the new one is allocated
+                # the new one is allocated; if that fails, the workspace is
+                # left empty and the next take grows it again
                 self.views.clear()
-                self.raw = None
+                self.raw = np.empty(0, np.uint8)
                 self.raw = _aligned((need,), np.uint8)
             elif len(self.views) == _LAYOUTS:
                 del self.views[next(iter(self.views))]
@@ -277,8 +278,10 @@ class _Kernel:
         from a signal handler, or from inside one of its blocks."""
         workspace = _workspace
         if self.small and not workspace.busy:
-            workspace.busy = True
+            # bound first: an interruption between the two leaves the flag
+            # clear, not set for good
             self.workspace = workspace
+            workspace.busy = True
         return self
 
     def __exit__(self, *exc):
@@ -375,7 +378,10 @@ class _Kernel:
 
         Points are walked in blocks of at most _CHUNK_PAIRS pairs (at least
         one point each), all writing into one set of scratch, sized for one
-        block.
+        block, or for all the points of a call of fewer.  Cut for a whole
+        block, the planes of a 123-point call at 48 segments do not meet,
+        numpy buffers r1 = p - a in 143 kB instead of 96 kB, and the
+        optimizer ran 1.8 % slower.
         """
         n, brk, rows = self.n, self.brk, self.rows
         m = min(rows, points.shape[0])

@@ -837,6 +837,41 @@ def test_workspace_holds_at_most_one_full_block():
             assert a[index].ctypes.data % 64 == 0
 
 
+def test_failed_workspace_growth_leaves_it_usable(monkeypatch):
+    # in a new thread, whose workspace starts empty, so its first small
+    # call grows it; that growth fails once, as a MemoryError or an
+    # interrupt inside `_aligned` would
+    segs = coil(0.04, 0.06)
+    points = small_calls(segs, 6)
+    aligned = mk.field._aligned
+    failures = []
+
+    def failing(shape, dtype=float):
+        if not failures:
+            failures.append(shape)
+            raise MemoryError
+        return aligned(shape, dtype)
+
+    monkeypatch.setattr(mk.field, "_aligned", failing)
+    seen = {}
+
+    def run():
+        try:
+            mk.field_many(segs, points[2])
+        except MemoryError:
+            seen["raised"] = True
+        workspace = mk.field._workspace
+        seen["busy"] = workspace.busy
+        seen["B"] = [mk.field_many(segs, p).tobytes() for p in points]
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert seen["raised"] and failures and not seen["busy"]
+    assert seen["B"] == [reference_field(segs, p).tobytes() for p in points]
+
+
 def test_field_many_nan_rows_exactly_within_eps_sing():
     eps = mk.EPS_SING
     segs = mk.make_free_path([(0, 0, 0), (1, 0, 0), (1, 1, 0)], 1.0)
