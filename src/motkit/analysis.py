@@ -122,18 +122,11 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
 
     Near a quadrupole zero B is linear, so Newton on the vector field
     converges quadratically to it.  Its result stands only if every stencil
-    it solves is finite, the steps end on their stop rule with a solvable
-    Jacobian, every iterate stays in the search cube shrunk by half a grid
-    spacing, so a zero the grid would put on its boundary still raises
-    ZeroNotBracketed, and the result is a zero.  Otherwise `_grid_zero`
-    scans 11^3 points of the cube and refines the best.  Either way the
-    refined point is kept only if its |B| is no larger than at its start
-    point, and the start otherwise.
-
-    A |B| minimum need not be a zero: one whose |B| exceeds ZERO_TOLERANCE
-    times ||J||·h of the last Newton stencil raises ZeroNotBracketed naming
-    that |B|.  An exact zero at a stencil centre needs no Jacobian and no
-    further field call.
+    it solves is finite, the steps end on their stop rule, every iterate
+    stays in the search cube shrunk by half a grid spacing, so a zero the
+    grid would put on its boundary still raises ZeroNotBracketed, and the
+    result is a zero.  Otherwise `_grid_zero` scans 11^3 points of the cube
+    and refines the best; `_refine` holds the rules of both refinements.
     """
     if not (search_radius > 0):
         raise InvalidInput("search radius must be positive")
@@ -141,10 +134,8 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     c = _vector(search_center, "search centre")
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
     try:
-        p, m_c, stopped, stencils, jh, m = _newton(
-            f, c, search_radius, lambda q: np.max(np.abs(q - c)) > inner)
-        if stopped:
-            return _zero_result(f, "newton", p, c, m_c, stencils, jh, m)
+        return _refine(f, "newton", c, None, search_radius,
+                       lambda q: np.max(np.abs(q - c)) > inner)
     except (SingularPoint, ZeroNotBracketed):
         pass
     return _grid_zero(f, c, search_radius)
@@ -172,43 +163,46 @@ def _grid_zero(f, c, search_radius) -> ZeroResult:
     if any(i in (0, _GRID_N - 1)
            for i in np.unravel_index(best, (_GRID_N,) * 3)):
         raise ZeroNotBracketed("|B| minimum lies on the search-region boundary")
-
-    best_p = grid[best]
     limit = search_radius * math.sqrt(3.0)
-    p, _, _, stencils, jh, m = _newton(f, best_p, search_radius,
-                                       lambda q: np.linalg.norm(q - c) > limit)
-    return _zero_result(f, "grid", p, best_p, best_m, stencils, jh, m)
+    return _refine(f, "grid", grid[best], best_m, search_radius,
+                   lambda q: np.linalg.norm(q - c) > limit)
 
 
-def _newton(f, p, search_radius, outside):
-    """Newton steps on B = 0 from p, each solving the 7-point stencil's
-    Jacobian, with steps capped at a quarter of the search radius.
+def _refine(f, method, start, m_start, search_radius, outside) -> ZeroResult:
+    """The zero that Newton steps on B = 0 reach from `start`, each step
+    solving the 7-point stencil's Jacobian and capped at a quarter of the
+    search radius.  The steps stop on |B| == 0 at a stencil centre or a step
+    under 1e-13 m; a singular Jacobian or the 60th stencil also ends them.
 
-    Returns the last iterate, |B| at p, whether the steps ended on the stop
-    rule (|B| == 0, or a step under 1e-13 m) rather than on a singular
-    Jacobian or the 60-step limit, the number of stencils evaluated,
-    ||J||·h of the last Jacobian (0 if none was formed), and |B| at the last
-    iterate if a stencil measured it (0.0 at an exact zero, whose stencil
-    centre is the iterate) or None.  Raises
-    SingularPoint at a NaN stencil row around a non-zero field, and
-    ZeroNotBracketed at an iterate q for which `outside(q)` holds.
+    Returns the ZeroResult at the last iterate, or at `start` if the last
+    iterate's |B| exceeds `m_start` (the first stencil's |B| if None), with
+    the number of stencils evaluated.  |B| at the last iterate takes one
+    more field call, except at an exact zero at a stencil centre.  Raises
+    ZeroNotBracketed if a `"newton"` run's steps end without their stop rule
+    (a `"grid"` run keeps its last iterate), at an iterate q for which
+    `outside(q)` holds, and if the returned |B| exceeds ZERO_TOLERANCE times
+    ||J||·h of the last stencil's Jacobian (0 if none was formed); and
+    SingularPoint at a NaN stencil row around a non-zero field or a NaN
+    field at the returned point.
     """
     h = max(search_radius / 200.0, 1e-6)
     cap = search_radius / 4.0
-    jh = 0.0
-    for i in range(60):
+    p, jh, stopped = start, 0.0, False
+    for stencils in range(1, 61):
         B = f(_stencil(p, h))
         m = float(np.linalg.norm(B[0]))
-        if i == 0:
+        if m_start is None:
             m_start = m
         if m == 0.0:
-            return p, m_start, True, i + 1, jh, 0.0
+            stopped = True
+            break
+        m = None                        # measured after the steps end
         J = _central_jacobian(_regular(B, "Newton stencil"), h)
         jh = float(np.linalg.norm(J)) * h
         try:
             step = np.linalg.solve(J, B[0])
         except np.linalg.LinAlgError:
-            return p, m_start, False, i + 1, jh, None
+            break
         norm = np.linalg.norm(step)
         if norm > cap:
             step *= cap / norm
@@ -216,16 +210,10 @@ def _newton(f, p, search_radius, outside):
         if outside(p):
             raise ZeroNotBracketed("zero refinement left the search region")
         if norm < 1e-13:
-            return p, m_start, True, i + 1, jh, None
-    return p, m_start, False, 60, jh, None
-
-
-def _zero_result(f, method, p, start, m_start, stencils, jh,
-                 m=None) -> ZeroResult:
-    """The ZeroResult at p if its |B| is at most `m_start`, the |B| at
-    `start`, and at `start` otherwise; ZeroNotBracketed if that |B| exceeds
-    ZERO_TOLERANCE times `jh`, the last stencil's ||J||·h.  `m` is |B| at p
-    if already known; otherwise one field call measures it."""
+            stopped = True
+            break
+    if method == "newton" and not stopped:
+        raise ZeroNotBracketed("Newton steps ended without converging")
     if m is None:
         m = float(np.linalg.norm(_regular(f(p[None, :]), "field zero")[0]))
     if m > m_start:

@@ -114,6 +114,13 @@ class SegmentList:
         return bad[~(bad[:, None, :] == term[None, :, :]).all(axis=2).any(axis=1)]
 
 
+def _finite(value) -> bool:
+    # NaN compares false, and an integer compares exactly, so one too large
+    # for a float is rejected before anything converts it
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 # ---------------------------------------------------------------------------
 # materials
 
@@ -124,7 +131,8 @@ class Material:
     resistivity: float  # ohm * m
 
     def __post_init__(self):
-        if not 0 < self.resistivity <= MAX_RESISTIVITY:
+        if not (_finite(self.resistivity)
+                and 0 < self.resistivity <= MAX_RESISTIVITY):
             raise InvalidInput(f"resistivity must be positive and at most "
                                f"{MAX_RESISTIVITY:g} ohm m")
 
@@ -145,13 +153,6 @@ MATERIALS = {m.name: m for m in (COPPER, TITANIUM_LIKE)}
 # (angles, weights), flags, counts and names pass unchanged
 LENGTH, POINTS, CURRENT, NUMBER, FLAG, COUNT, NAME = (
     "length", "points", "current", "number", "flag", "count", "name")
-
-
-def _finite(value) -> bool:
-    # NaN compares false, and an integer compares exactly, so one too large
-    # for a float is rejected before anything converts it
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def _check(key, kind, value):

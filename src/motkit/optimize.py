@@ -17,7 +17,7 @@ from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
 from .errors import (InfeasibleStart, InvalidInput, MotKitError,
                      ObjectiveEvaluationError)
 from .geometry import (COPPER, CURRENT, LENGTH, NUMBER, REGISTRY, GeometrySpec,
-                       Material, build, clearance_check)
+                       Material, _finite, build, clearance_check)
 from .power import PowerReport, power_report
 
 
@@ -42,18 +42,22 @@ class ObjectiveSpec:
     fit_samples: int = DEFAULT_SAMPLES         # per axis
 
     def __post_init__(self):
-        if not (math.isfinite(self.target_gradient)
+        # each number is an int or float, never a bool or a string, by the
+        # rule config numbers follow
+        if not (_finite(self.target_gradient)
                 and self.target_gradient >= MIN_TARGET_GRADIENT):
             raise InvalidInput(f"target gradient must be finite and at least "
                                f"{MIN_TARGET_GRADIENT:g} G/cm")
-        if not (math.isfinite(self.beam_diameter) and self.beam_diameter > 0):
+        if not (_finite(self.beam_diameter) and self.beam_diameter > 0):
             raise InvalidInput("beam diameter must be positive and finite")
-        if not all(0 <= w <= MAX_WEIGHT
+        if not all(_finite(w) and 0 <= w <= MAX_WEIGHT
                    for w in (self.w_mag, self.w_ratio, self.w_power)):
             raise InvalidInput(f"weights must be between 0 and {MAX_WEIGHT:g}")
         if max(self.w_mag, self.w_ratio, self.w_power) == 0:
             raise InvalidInput("at least one weight must be positive")
         for name, (lo, hi) in self.bounds.items():
+            if not (_finite(lo) and _finite(hi)):
+                raise InvalidInput(f"bounds for {name!r} must be finite numbers")
             if not lo < hi:
                 raise InvalidInput(f"bounds for {name!r} are not well-ordered")
 

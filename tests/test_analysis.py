@@ -186,6 +186,50 @@ def test_finder_skips_the_grid():
     assert sum(rows) < 100     # the 11^3 grid alone is 1331 points
 
 
+def _stencils_before_grid(field):
+    """find_field_zero on `field`, and the row counts of the calls it makes
+    before its 11^3 grid call."""
+    rows = []
+
+    def counted(points):
+        rows.append(len(points))
+        return field(points)
+
+    result = mk.find_field_zero(counted)
+    return result, rows[:rows.index(analysis._GRID_N ** 3)]
+
+
+def test_singular_jacobian_at_the_centre_falls_back_to_grid():
+    # dB_z/dz = 2z / 1 mm is exactly 0 on the first stencil, so its Jacobian
+    # is singular and Newton stops there; of the zeros at z = +-1.1 mm the
+    # grid's tie rule takes the lower one
+    def field(points):
+        x, y, z = points.T
+        return np.stack([x - 0.4e-3, y + 0.7e-3,
+                         (z ** 2 - 1.1e-3 ** 2) / 1e-3], axis=1)
+
+    result, before = _stencils_before_grid(field)
+    assert before == [7]
+    assert result.method == "grid"
+    assert np.max(np.abs(result.position - [0.4e-3, -0.7e-3, -1.1e-3])) < 1e-15
+    assert result.residual == 0.0
+
+
+def test_newton_cycle_at_the_centre_falls_back_to_grid():
+    # Newton on u^3 - 2u + 2 cycles between about u = 0 and 1; the steps
+    # never meet their stop rule, so all 60 stencils run before the grid
+    def field(points):
+        x, y, z = points.T / 1e-3
+        return 1e-3 * np.stack([x ** 3 - 2.0 * x + 2.0, y, z], axis=1)
+
+    result, before = _stencils_before_grid(field)
+    assert before == [7] * 60
+    assert result.method == "grid"
+    assert result.position[0] == pytest.approx(-1.76929e-3, abs=1e-8)
+    assert result.position[1:].tolist() == [0.0, 0.0]
+    assert result.residual < 1e-17
+
+
 def test_jacobian_recovers_linear_matrix():
     m = np.array([[1.0, 0.2, -0.1],
                   [0.2, 0.5, 0.3],

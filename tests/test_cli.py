@@ -562,3 +562,15 @@ def test_byte_identity_gate_compares_every_exit_code(tmp_path, gate, capsys):
             assert err == (f"error: {message}\n" if code else "")
             codes.add(code)
     assert codes == {0, 2, 3, 4}
+
+
+def test_byte_identity_gate_finds_a_zero_through_the_grid(tmp_path, gate):
+    # the spur's tip is the search centre, so the first Newton stencil is
+    # singular and the one zero the gate compares from a grid scan is this
+    argv = next(argv for label, argv in gate.runs(str(tmp_path / "configs"))
+                if label == "simulate-free_path_spur")
+    cfg = cli.load_config(argv[argv.index("--config") + 1])
+    result = mk.find_field_zero(mk.build(cfg["geometry"]),
+                                search_radius=cfg["analysis"]["search_radius"])
+    assert result.method == "grid"
+    assert np.round(result.position * 1e3, 4).tolist() == [1.25, -0.75, 1.5]

@@ -95,6 +95,17 @@ def test_objective_validation():
         with pytest.raises(InvalidInput):
             mk.ObjectiveSpec(target_gradient=bad)
     assert mk.ObjectiveSpec(target_gradient=floor).target_gradient == floor
+    # non-numbers, bools and infinite bound ends, by the rule config numbers
+    # follow
+    for bad, named in (({"target_gradient": "15"}, "target gradient"),
+                       ({"target_gradient": True}, "target gradient"),
+                       ({"w_mag": "1"}, "weights"),
+                       ({"beam_diameter": True}, "beam diameter"),
+                       ({"bounds": {"radius": (1, "2")}}, "'radius'"),
+                       ({"bounds": {"radius": (0.01, math.inf)}}, "'radius'"),
+                       ({"bounds": {"radius": (-math.inf, 0.06)}}, "'radius'")):
+        with pytest.raises(InvalidInput, match=named):
+            mk.ObjectiveSpec(**bad)
     with pytest.raises(InvalidInput):
         mk.optimize_geometry(mk.GeometrySpec("AntiHelmholtz", {}, FAST),
                              mk.ObjectiveSpec(), budget=10)  # no bounds

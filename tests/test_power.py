@@ -33,8 +33,8 @@ def test_material_table():
     assert mk.MATERIALS["copper"] is mk.COPPER
     assert mk.TITANIUM_LIKE.resistivity == pytest.approx(
         10.0 * mk.COPPER.resistivity, rel=1e-12)
-    for bad in (0.0, -1e-8, math.nan, math.inf):
-        with pytest.raises(InvalidInput):
+    for bad in (0.0, -1e-8, math.nan, math.inf, "1e-8", True):
+        with pytest.raises(InvalidInput, match="resistivity"):
             mk.Material("bad", bad)
 
 

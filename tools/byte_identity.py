@@ -15,7 +15,9 @@ standard output, standard error and every file written to `--out`:
 * `simulate` and `export` on each of the 4 bundled presets, and on the
   geometries no preset holds: an open and a closed FreePath round one
   square, and a closed FreePath round two squares with opposite senses,
-  once centred and once shifted off the centre with even map sizes;
+  once centred and once shifted off the centre with even map sizes, and
+  the shifted pair with a spur to the origin, whose zero `simulate` finds
+  through the grid scan;
 * `simulate` and `export` of TwistedCage, CompactFour and TwoPiece at 24
   segments per turn, so that each builder runs at a second resolution;
 * `simulate` and `export` of three configs that fail: a TwistedCage whose
@@ -54,6 +56,8 @@ SQUARE = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5]]
 SQUARE_PAIR = [[-10, -10, 5], [10, -10, 5], [10, 10, 5], [-10, 10, 5],
                [-10, -10, 5], [-10, -10, -5], [-10, 10, -5], [10, 10, -5],
                [10, -10, -5], [-10, -10, -5]]
+# the pair shifted off the centre
+SQUARE_PAIR_OFFSET = [[x + 1.25, y - 0.75, z + 1.5] for x, y, z in SQUARE_PAIR]
 # configs of the geometries no preset holds
 EXTRA_CONFIGS = {
     "free_path_open": {"geometry": {"variant": "FreePath",
@@ -67,8 +71,14 @@ EXTRA_CONFIGS = {
     # zero, and with even sample counts, so that no sample lies on the zero
     "free_path_pair_offset": {
         "geometry": {"variant": "FreePath", "parameters": {
-            "points": [[x + 1.25, y - 0.75, z + 1.5]
-                       for x, y, z in SQUARE_PAIR],
+            "points": SQUARE_PAIR_OFFSET, "closed": True, "current": 5}},
+        "analysis": {"plane_points": 20, "scan_points": 40}},
+    # that pair with a spur from its first corner to the origin and back:
+    # the first Newton stencil is centred on the spur's tip, so `simulate`
+    # finds the zero through the grid scan
+    "free_path_spur": {
+        "geometry": {"variant": "FreePath", "parameters": {
+            "points": SQUARE_PAIR_OFFSET[:1] + [[0, 0, 0]] + SQUARE_PAIR_OFFSET,
             "closed": True, "current": 5}},
         "analysis": {"plane_points": 20, "scan_points": 40}},
     # configs that fail, so that exit codes 2, 3 and 4 and their messages
