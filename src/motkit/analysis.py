@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateFit, InvalidInput, SingularPoint, ZeroNotBracketed
 from .field import _vector, field_many
-from .geometry import COUNT, SegmentList, _check
+from .geometry import COUNT, SegmentList, _check, _positive
 
 GAUSS_PER_TESLA = 1.0e4
 GCM_PER_TPM = 100.0           # 1 T/m = 100 G/cm
@@ -128,8 +128,7 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     result is a zero.  Otherwise `_grid_zero` scans 11^3 points of the cube
     and refines the best; `_refine` holds the rules of both refinements.
     """
-    if not (search_radius > 0):
-        raise InvalidInput("search radius must be positive")
+    _positive("search radius", search_radius)
     f = as_field(source)
     c = _vector(search_center, "search centre")
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
@@ -227,8 +226,7 @@ def _refine(f, method, start, m_start, search_radius, outside) -> ZeroResult:
 
 def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:
     """Central-difference Jacobian dB_i/dx_j (T/m); column j is d/dx_j."""
-    if not (h > 0):
-        raise InvalidInput("stencil step must be positive")
+    _positive("stencil step", h)
     f = as_field(source)
     p = _vector(p, "stencil centre")
     return _central_jacobian(_regular(f(_stencil(p, h)), "Jacobian stencil"), h)
@@ -243,8 +241,7 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     half-axis.  The three axes are one least-squares problem over their
     shared abscissae.
     """
-    if not (window > 0):
-        raise InvalidInput("fit window must be positive")
+    _positive("fit window", window)
     _check("sample count", COUNT, n)
     if n < 5:
         raise InvalidInput("need at least 5 samples per axis")

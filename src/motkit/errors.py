@@ -9,7 +9,9 @@ class MotKitError(Exception):
 
 
 class InvalidInput(MotKitError):
-    """A scalar argument violates its precondition (non-positive length, etc.)."""
+    """An argument breaks its rule: a number is an int or float, never a bool,
+    and finite, and positive if a length, step, window, area or factor; a
+    count is an int; a 3-vector holds three finite numbers."""
 
     exit_code = 2
 

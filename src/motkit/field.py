@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, InvalidInput, SingularPoint
-from .geometry import COUNT, SegmentList, _check
+from .geometry import COUNT, NUMBER, SegmentList, _check
 
 MU_0 = 4.0 * math.pi * 1e-7  # T m / A, exact by convention here
 EPS_SING = 1e-7              # m: singular tube radius around each filament
@@ -594,11 +594,13 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
 
 
 def _vector(value, what: str) -> np.ndarray:
-    """`value` as a new float array of shape (3,); InvalidInput naming
-    `what` if it has another shape."""
-    value = np.array(value, dtype=float)
-    if value.shape != (3,):
-        raise InvalidInput(f"{what} must be a 3-vector")
+    """`value` as a new array of three finite floats, else InvalidInput."""
+    try:
+        value = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != (3,) or not np.isfinite(value).all():
+        raise InvalidInput(f"{what} must be a 3-vector of finite numbers")
     return value
 
 
@@ -632,12 +634,10 @@ def _sample(segments, center, axes, half_range, n) -> FieldMap:
     _check("sample count", COUNT, n)
     if n < 1:
         raise InvalidInput("need at least one sample per axis")
-    center = _vector(center, "sample centre")
+    _check("sample half-range", NUMBER, half_range)
+    grid = _vector(center, "sample centre")
     axes = [_vector(axis, "sample axis") for axis in axes]
-    if not np.isfinite(np.hstack((center, *axes, half_range))).all():
-        raise InvalidInput("sample centre, axes and half-range must be finite")
     s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
-    grid = center
     for axis in axes:
         norm = np.linalg.norm(axis)
         if norm == 0:

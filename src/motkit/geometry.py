@@ -121,6 +121,11 @@ def _finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _positive(key, value):
+    if not (_finite(value) and value > 0):
+        raise InvalidInput(f"{key} must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # materials
 
@@ -271,8 +276,7 @@ class GeometrySpec:
 
     def scaled(self, k: float) -> "GeometrySpec":
         """Scale every length parameter by k (currents untouched)."""
-        if not (k > 0):
-            raise InvalidInput("scale factor must be positive")
+        _positive("scale factor", k)
         known = REGISTRY[self.variant].parameters
         return replace(self, parameters={
             key: _scale(known[key][0], value, k)
@@ -686,8 +690,7 @@ def clearance_check(segments: SegmentList, beam_diameter: float):
     Returns (ok, min_clearance): min_clearance is the smallest distance from
     any conductor point to any beam surface (negative when intruding).
     """
-    if not (beam_diameter > 0):
-        raise InvalidInput("beam diameter must be positive")
+    _positive("beam diameter", beam_diameter)
     # across beam j a segment runs u + t w for t in [0, 1], with u and w its
     # start and direction in beam j's cross-axis columns; its closest
     # approach is at t = -(u.w) / |w|^2, or anywhere when w = 0

@@ -16,8 +16,9 @@ from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
                        fit_gradients)
 from .errors import (InfeasibleStart, InvalidInput, MotKitError,
                      ObjectiveEvaluationError)
-from .geometry import (COPPER, CURRENT, LENGTH, NUMBER, REGISTRY, GeometrySpec,
-                       Material, _finite, build, clearance_check)
+from .geometry import (COPPER, COUNT, CURRENT, LENGTH, NUMBER, REGISTRY,
+                       GeometrySpec, Material, _check, _finite, _positive,
+                       build, clearance_check)
 from .power import PowerReport, power_report
 
 
@@ -48,17 +49,16 @@ class ObjectiveSpec:
                 and self.target_gradient >= MIN_TARGET_GRADIENT):
             raise InvalidInput(f"target gradient must be finite and at least "
                                f"{MIN_TARGET_GRADIENT:g} G/cm")
-        if not (_finite(self.beam_diameter) and self.beam_diameter > 0):
-            raise InvalidInput("beam diameter must be positive and finite")
+        _positive("beam diameter", self.beam_diameter)
         if not all(_finite(w) and 0 <= w <= MAX_WEIGHT
                    for w in (self.w_mag, self.w_ratio, self.w_power)):
             raise InvalidInput(f"weights must be between 0 and {MAX_WEIGHT:g}")
         if max(self.w_mag, self.w_ratio, self.w_power) == 0:
             raise InvalidInput("at least one weight must be positive")
-        for name, (lo, hi) in self.bounds.items():
-            if not (_finite(lo) and _finite(hi)):
-                raise InvalidInput(f"bounds for {name!r} must be finite numbers")
-            if not lo < hi:
+        for name, b in self.bounds.items():
+            if not (isinstance(b, (tuple, list)) and len(b) == 2 and all(map(_finite, b))):
+                raise InvalidInput(f"bounds for {name!r} must be two finite numbers")
+            if not b[0] < b[1]:
                 raise InvalidInput(f"bounds for {name!r} are not well-ordered")
 
 
@@ -144,6 +144,7 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
                       budget: int = 200,
                       material: Material = COPPER) -> OptResult:
     """Bounded Nelder-Mead over the parameters named in obj.bounds."""
+    _check("budget", COUNT, budget)
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
     names = sorted(obj.bounds)   # canonical order: declaration order irrelevant

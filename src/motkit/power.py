@@ -4,7 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .geometry import COPPER, GeometrySpec, Material, conductor_sections
+from .geometry import (COPPER, GeometrySpec, Material, _finite, _positive,
+                       conductor_sections)
 
 
 def _sum(values) -> float:
@@ -19,23 +20,22 @@ def _sum(values) -> float:
 
 def joule_power(current: float, resistance: float) -> float:
     """P = I^2 R (watt)."""
-    if not (resistance >= 0):
-        raise InvalidInput("resistance must be non-negative")
+    if not (_finite(resistance) and resistance >= 0):
+        raise InvalidInput("resistance must be non-negative and finite")
     return current * current * resistance
 
 
 def current_density(current: float, area: float) -> float:
     """Current density in A/mm^2 for a conductor of cross-section `area` m^2."""
-    if not (area > 0):
-        raise InvalidInput("area must be positive")
+    _positive("area", area)
     return current / (area * 1.0e6)
 
 
 def required_heat_transfer_coefficient(power: float, contact_area: float,
                                        delta_t: float) -> float:
     """W/m^2K needed to sink `power` through `contact_area` at `delta_t`."""
-    if not (contact_area > 0 and delta_t > 0):
-        raise InvalidInput("contact area and temperature budget must be positive")
+    _positive("contact area", contact_area)
+    _positive("temperature budget", delta_t)
     return power / (contact_area * delta_t)
 
 

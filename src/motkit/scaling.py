@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import GradientReport, find_field_zero, fit_gradients
 from .errors import DegenerateFit, InvalidInput
-from .geometry import GeometrySpec, build
+from .geometry import GeometrySpec, _positive, build
 from .power import PowerReport, power_report
 
 # m: the verifier's zero search radius and fit window at k = 1, scaled by k
@@ -56,8 +56,7 @@ class ScalingReport:
 
 
 def scaling_report(k: float) -> ScalingReport:
-    if not (math.isfinite(k) and k > 0):
-        raise InvalidInput("scale factor must be positive and finite")
+    _positive("scale factor", k)
     # a float power raises on overflow but silently underflows to 0.0
     try:
         ratios = {name: k ** e for name, e in RATIO_EXPONENTS.items()}

@@ -46,6 +46,11 @@ def test_find_zero_on_anti_helmholtz():
     assert result.residual == float(np.linalg.norm(mk.field_at(segs, result.position)))
 
 
+def test_a_field_singular_everywhere_brackets_no_zero():
+    with pytest.raises(ZeroNotBracketed, match="no non-singular point"):
+        mk.find_field_zero(lambda points: np.full(points.shape, np.nan))
+
+
 def test_a_minimum_that_is_not_a_zero_raises():
     # |B| is least at the origin, 1 G there; no Newton step moves off it
     def biased(points):
@@ -308,6 +313,12 @@ def test_fit_window_validation():
         mk.fit_gradients(f, np.zeros(3), n=3)
 
 
+def test_a_window_below_the_abscissae_resolution_is_degenerate():
+    # the samples' spread squares to 0 in double precision
+    with pytest.raises(DegenerateFit, match="degenerate abscissae"):
+        mk.fit_gradients(linear_field(QUADRUPOLE), np.zeros(3), window=1e-300)
+
+
 def test_zero_x_gradient_is_degenerate():
     m = np.diag([0.0, 0.01, -0.01])
     with pytest.raises(DegenerateFit):
@@ -360,8 +371,58 @@ WIRE = mk.make_free_path([(0.01, 0.0, -1.0), (0.01, 0.0, 1.0)], 1.0)
     pytest.param(lambda: mk.fit_gradients(WIRE, np.zeros(3), n=41.5),
                  id="fit_count"),
     pytest.param(lambda: mk.jacobian_at(WIRE, (0, 0)), id="stencil_centre"),
+    pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), 1e-3, 0),
+                 id="zero_count"),
 ])
 def test_malformed_points_and_counts_are_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+COIL = mk.GeometrySpec("AntiHelmholtz", {}, 24)
+COIL_OBJECTIVE = mk.ObjectiveSpec(bounds={"separation": (0.02, 0.1)})
+
+
+# numbers are ints or floats, never bools, and finite; lengths, steps,
+# windows, areas and factors are positive too; counts are ints; 3-vectors
+# hold three finite numbers
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: mk.find_field_zero(
+        linear_field(QUADRUPOLE), search_radius="3"), id="search_radius_str"),
+    pytest.param(lambda: mk.find_field_zero(
+        linear_field(QUADRUPOLE), search_radius=True), id="search_radius_bool"),
+    pytest.param(lambda: mk.find_field_zero(
+        linear_field(QUADRUPOLE), search_radius=math.inf), id="search_radius_inf"),
+    pytest.param(lambda: mk.find_field_zero(
+        linear_field(QUADRUPOLE), search_center="abc"), id="search_centre_str"),
+    pytest.param(lambda: mk.fit_gradients(
+        linear_field(QUADRUPOLE), np.zeros(3), window="2"), id="window_str"),
+    pytest.param(lambda: mk.fit_gradients(
+        linear_field(QUADRUPOLE), np.zeros(3), window=math.inf), id="window_inf"),
+    pytest.param(lambda: mk.jacobian_at(
+        linear_field(QUADRUPOLE), np.zeros(3), h=True), id="stencil_step_bool"),
+    pytest.param(lambda: mk.clearance_check(WIRE, "0.015"), id="beam_str"),
+    pytest.param(lambda: mk.clearance_check(WIRE, math.inf), id="beam_inf"),
+    pytest.param(lambda: mk.clearance_check(WIRE, True), id="beam_bool"),
+    pytest.param(lambda: COIL.scaled("2"), id="scaled_str"),
+    pytest.param(lambda: COIL.scaled(True), id="scaled_bool"),
+    pytest.param(lambda: COIL.scaled(0), id="scaled_zero"),
+    pytest.param(lambda: mk.scaling_report("2"), id="scaling_report_str"),
+    pytest.param(lambda: mk.scaling_report(True), id="scaling_report_bool"),
+    pytest.param(lambda: mk.optimize_geometry(COIL, COIL_OBJECTIVE, budget="3"),
+                 id="budget_str"),
+    pytest.param(lambda: mk.optimize_geometry(COIL, COIL_OBJECTIVE, budget=True),
+                 id="budget_bool"),
+    pytest.param(lambda: mk.optimize_geometry(COIL, COIL_OBJECTIVE, budget=2.5),
+                 id="budget_fraction"),
+    pytest.param(lambda: mk.optimize_geometry(COIL, COIL_OBJECTIVE, budget=0),
+                 id="budget_zero"),
+    pytest.param(lambda: mk.joule_power(1, "1"), id="resistance_str"),
+    pytest.param(lambda: mk.current_density(1, True), id="area_bool"),
+    pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), "1", 5),
+                 id="half_range_str"),
+])
+def test_numbers_outside_the_rule_are_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
 

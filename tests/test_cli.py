@@ -149,6 +149,20 @@ def test_missing_config_file_is_exit_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_without_geometry_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {})
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config is missing the 'geometry' section\n")
+
+
+def test_usage_errors_are_exit_2_and_help_is_exit_0(capsys):
+    assert run([]) == 2
+    assert run(["simulate"]) == 2
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: motkit")
+
+
 def test_optimize_requires_objective(tmp_path):
     cfg = write_config(tmp_path, coil_config())
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -411,6 +425,8 @@ def test_clearance_error_while_building_is_exit_3(tmp_path):
     {"variant": "AntiHelmholtz", "parameters": {"current": 1e160}},
     # a wire so thin that its cross-section underflows to zero
     {"variant": "AntiHelmholtz", "parameters": {"wire_diameter": 1e-197}},
+    # one whose cross-section is subnormal, so that its resistance overflows
+    {"variant": "AntiHelmholtz", "parameters": {"wire_diameter": 1.13e-156}},
 ])
 def test_malformed_geometry_is_exit_2(tmp_path, geometry):
     cfg = write_config(tmp_path, {"geometry": geometry})
@@ -548,6 +564,7 @@ def test_byte_identity_gate_runs_every_subcommand(tmp_path, gate):
 
 def test_byte_identity_gate_compares_every_exit_code(tmp_path, gate, capsys):
     expected = {
+        "negative_length": (2, 2, "geometry.parameters.radius must be a positive length"),
         "twisted_cage_crossing": (2, 2, "bars 0 and 1 intersect"),
         "compact_four_no_prongs": (3, 3, "no room for prongs between beams and outer wall"),
         "free_path_wire": (4, 0, "|B| minimum lies on the search-region boundary")}

@@ -16,6 +16,8 @@ def test_segment_rejects_degenerate_data():
         mk.SegmentList([np.zeros(3)], [np.zeros(3)], [1.0], ["_"])
     with pytest.raises(InvalidGeometry):
         mk.SegmentList([np.zeros(3)], [np.array([np.nan, 0, 0])], [1.0], ["_"])
+    with pytest.raises(InvalidGeometry, match="empty segment list"):
+        mk.SegmentList(np.zeros((0, 3)), np.zeros((0, 3)), [], [])
 
 
 def test_closed_polyline_chains_head_to_tail():
@@ -93,6 +95,11 @@ def test_make_loop_is_bitwise_the_framed_construction():
 def test_make_loop_needs_three_segments():
     with pytest.raises(InvalidGeometry):
         mk.make_loop((0, 0, 0), 0.03, 1.0, 2)
+
+
+def test_make_loop_needs_a_positive_radius():
+    with pytest.raises(InvalidGeometry, match="radius"):
+        mk.make_loop((0, 0, 0), 0.0, 1.0, 24)
 
 
 def test_spec_json_round_trip_uses_millimetres():
@@ -217,6 +224,8 @@ def test_group_counts_match_part_counts():
     assert len(mk.build(mk.GeometrySpec("CompactFour")).groups()) == 4
     cage_groups = mk.build(mk.GeometrySpec("TwistedCage")).groups()
     assert sorted(cage_groups) == ["bar0", "bar1", "bar2", "bar3"]
+    with pytest.raises(InvalidInput, match="no such group: 'nope'"):
+        mk.build(mk.GeometrySpec("TwoPiece")).group("nope")
 
 
 def test_field_zero_at_center_by_symmetry():

@@ -103,7 +103,9 @@ def test_objective_validation():
                        ({"beam_diameter": True}, "beam diameter"),
                        ({"bounds": {"radius": (1, "2")}}, "'radius'"),
                        ({"bounds": {"radius": (0.01, math.inf)}}, "'radius'"),
-                       ({"bounds": {"radius": (-math.inf, 0.06)}}, "'radius'")):
+                       ({"bounds": {"radius": (-math.inf, 0.06)}}, "'radius'"),
+                       ({"bounds": {"radius": 0.05}}, "'radius'"),
+                       ({"bounds": {"radius": (0.01, 0.05, 0.06)}}, "'radius'")):
         with pytest.raises(InvalidInput, match=named):
             mk.ObjectiveSpec(**bad)
     with pytest.raises(InvalidInput):
@@ -210,3 +212,14 @@ def test_a_false_zero_is_a_discarded_evaluation(monkeypatch):
     spec = mk.GeometrySpec("AntiHelmholtz", {}, FAST)
     with pytest.raises(mk.ObjectiveEvaluationError, match=r"\|B\| = 1 G"):
         mk.evaluate_design(spec, coil_objective())
+
+
+@pytest.mark.parametrize("variant, parameters", [
+    ("TwistedCage", {"twist_angle": 1.2}),           # the bars cross
+    ("CompactFour", {"hole_diameter": 0.0225}),      # no room for prongs
+])
+def test_a_design_that_does_not_build_is_a_discarded_evaluation(variant,
+                                                                parameters):
+    spec = mk.GeometrySpec(variant, parameters, FAST)
+    with pytest.raises(mk.ObjectiveEvaluationError, match="geometry build failed: "):
+        mk.evaluate_design(spec, mk.ObjectiveSpec())

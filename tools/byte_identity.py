@@ -10,8 +10,9 @@ in a fresh interpreter that writes no bytecode, and compares the exit code,
 standard output, standard error and every file written to `--out`:
 
 * `optimize` on the `anti_helmholtz` preset, the one preset with an
-  `objective` section;
-* `scale` at k = 4 and k = 0.5, which with `--out` writes `scaling.json`;
+  `objective` section, and once more with `--budget 0` (exit 2);
+* `scale` at k = 4 and k = 0.5, which with `--out` writes `scaling.json`,
+  and at k = 0 (exit 2);
 * `simulate` and `export` on each of the 4 bundled presets, and on the
   geometries no preset holds: an open and a closed FreePath round one
   square, and a closed FreePath round two squares with opposite senses,
@@ -20,10 +21,11 @@ standard output, standard error and every file written to `--out`:
   through the grid scan;
 * `simulate` and `export` of TwistedCage, CompactFour and TwoPiece at 24
   segments per turn, so that each builder runs at a second resolution;
-* `simulate` and `export` of three configs that fail: a TwistedCage whose
-  bars cross (exit 2), a CompactFour with no room for its prongs (exit 3),
-  and a straight FreePath wire, on which `simulate` finds no |B| minimum
-  (exit 4) and `export` exits 0;
+* `simulate` and `export` of four configs that fail: an AntiHelmholtz
+  with a negative radius (exit 2), a TwistedCage whose bars cross (exit
+  2), a CompactFour with no room for its prongs (exit 3), and a straight
+  FreePath wire, on which `simulate` finds no |B| minimum (exit 4) and
+  `export` exits 0;
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
@@ -83,6 +85,8 @@ EXTRA_CONFIGS = {
         "analysis": {"plane_points": 20, "scan_points": 40}},
     # configs that fail, so that exit codes 2, 3 and 4 and their messages
     # are compared too; export of the wire exits 0
+    "negative_length": {"geometry": {
+        "variant": "AntiHelmholtz", "parameters": {"radius": -5}}},
     "twisted_cage_crossing": {"geometry": {
         "variant": "TwistedCage", "parameters": {"twist_angle": 1.2}}},
     "compact_four_no_prongs": {"geometry": {
@@ -115,7 +119,9 @@ def runs(config_dir: str):
         yield f"simulate-{preset}", ["simulate", "--config", preset]
         yield f"export-{preset}", ["export", "--config", preset]
     yield "optimize-anti_helmholtz", ["optimize", "--config", "anti_helmholtz"]
-    for k in ("4", "0.5"):
+    yield "optimize-anti_helmholtz-budget0", ["optimize", "--config",
+                                              "anti_helmholtz", "--budget", "0"]
+    for k in ("4", "0.5", "0"):
         yield f"scale-{k}", ["scale", k]
     os.makedirs(config_dir)
     for name, doc in EXTRA_CONFIGS.items():
