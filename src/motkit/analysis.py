@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DegenerateFit, InvalidInput, SingularPoint, ZeroNotBracketed
-from .field import _vector, field_many
-from .geometry import COUNT, SegmentList, _check, _positive
+from .field import field_many
+from .geometry import COUNT, SegmentList, _check, _points, _positive
 
 GAUSS_PER_TESLA = 1.0e4
 GCM_PER_TPM = 100.0           # 1 T/m = 100 G/cm
@@ -130,7 +130,7 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     """
     _positive("search radius", search_radius)
     f = as_field(source)
-    c = _vector(search_center, "search centre")
+    c = _points(search_center, "search centre")
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
     try:
         return _refine(f, "newton", c, None, search_radius,
@@ -228,7 +228,7 @@ def jacobian_at(source, p, h: float = DEFAULT_STENCIL) -> np.ndarray:
     """Central-difference Jacobian dB_i/dx_j (T/m); column j is d/dx_j."""
     _positive("stencil step", h)
     f = as_field(source)
-    p = _vector(p, "stencil centre")
+    p = _points(p, "stencil centre")
     return _central_jacobian(_regular(f(_stencil(p, h)), "Jacobian stencil"), h)
 
 
@@ -246,7 +246,7 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     if n < 5:
         raise InvalidInput("need at least 5 samples per axis")
     f = as_field(source)
-    zero = _vector(zero, "field zero")
+    zero = _points(zero, "field zero")
     s = np.linspace(-window, window, n)
     # rows axis * n + i hold zero + s[i] * e_axis
     B = _regular(f((zero + s[None, :, None] * np.eye(3)[:, None, :])

@@ -11,7 +11,9 @@ class MotKitError(Exception):
 class InvalidInput(MotKitError):
     """An argument breaks its rule: a number is an int or float, never a bool,
     and finite, and positive if a length, step, window, area or factor; a
-    count is an int; a 3-vector holds three finite numbers."""
+    count is an int; a point is a list or tuple of three such numbers, or an
+    int or float numpy array of shape (3,) with finite entries; many points
+    are a list or tuple of points or an (N, 3) array."""
 
     exit_code = 2
 

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, InvalidInput, SingularPoint
-from .geometry import COUNT, NUMBER, SegmentList, _check
+from .geometry import COUNT, NUMBER, SegmentList, _check, _points
 
 MU_0 = 4.0 * math.pi * 1e-7  # T m / A, exact by convention here
 EPS_SING = 1e-7              # m: singular tube radius around each filament
@@ -574,6 +574,8 @@ class _Kernel:
 
 def field_many(segments: SegmentList, points) -> np.ndarray:
     """Field at many points (tesla, (N, 3)); singular points give NaN rows.
+    `points` are (N, 3) rows or a list of [x, y, z] points, one point being
+    one row.
 
     Points are walked in blocks of at most _CHUNK_PAIRS point-segment pairs
     (at least one point each), which bounds the scratch arrays and keeps
@@ -584,24 +586,9 @@ def field_many(segments: SegmentList, points) -> np.ndarray:
     along a contiguous axis, so the result is bitwise independent of the
     block size.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise InvalidInput("field points must be an (N, 3) array")
-    if not np.isfinite(points).all():
-        raise InvalidInput("field points must be finite")
+    points = _points(points, "field points", rows=True)
     with _Kernel(segments, points.shape[0]) as kernel:
         return kernel.points(points)
-
-
-def _vector(value, what: str) -> np.ndarray:
-    """`value` as a new array of three finite floats, else InvalidInput."""
-    try:
-        value = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value.shape != (3,) or not np.isfinite(value).all():
-        raise InvalidInput(f"{what} must be a 3-vector of finite numbers")
-    return value
 
 
 def field_at(segments: SegmentList, p) -> np.ndarray:
@@ -610,7 +597,7 @@ def field_at(segments: SegmentList, p) -> np.ndarray:
     The one-point case of `field_many`; a singular point raises
     SingularPoint naming the nearest segment.
     """
-    p = _vector(p, "field point")
+    p = _points(p, "field point")
     b = field_many(segments, p[None, :])[0]
     if np.isnan(b[0]):
         dist = _distance_to_segments(p, segments.starts, segments.ends)
@@ -635,10 +622,9 @@ def _sample(segments, center, axes, half_range, n) -> FieldMap:
     if n < 1:
         raise InvalidInput("need at least one sample per axis")
     _check("sample half-range", NUMBER, half_range)
-    grid = _vector(center, "sample centre")
-    axes = [_vector(axis, "sample axis") for axis in axes]
+    grid = _points(center, "sample centre")
     s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
-    for axis in axes:
+    for axis in [_points(a, "sample axis") for a in axes]:
         norm = np.linalg.norm(axis)
         if norm == 0:
             raise InvalidInput("sample axes must be non-zero")

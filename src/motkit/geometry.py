@@ -54,18 +54,18 @@ class SegmentList:
     """Ordered collection of filament segments with per-segment group ids."""
 
     def __init__(self, starts, ends, currents, group_ids):
-        starts = np.atleast_2d(np.asarray(starts, dtype=float))
-        ends = np.atleast_2d(np.asarray(ends, dtype=float))
-        currents = np.atleast_1d(np.asarray(currents, dtype=float))
+        starts = _points(starts, "segment starts", rows=True, error=InvalidGeometry)
+        ends = _points(ends, "segment ends", rows=True, error=InvalidGeometry)
         group_ids = list(group_ids)
         n = starts.shape[0]
         if n == 0:
             raise InvalidGeometry("empty segment list")
-        if (starts.shape[1:] != (3,) or ends.shape != starts.shape
-                or currents.shape[0] != n or len(group_ids) != n):
+        if ends.shape != starts.shape or len(group_ids) != n:
             raise InvalidGeometry("inconsistent segment array shapes")
-        if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends)) and np.all(np.isfinite(currents))):
-            raise InvalidGeometry("non-finite segment data")
+        currents = np.asarray(currents, dtype=float) if _numbers(currents, n) else None
+        if currents is None or not np.isfinite(currents).all():
+            raise InvalidGeometry("segment currents must be one finite number "
+                                  "per segment")
         lengths = np.linalg.norm(ends - starts, axis=1)
         if np.any(lengths <= 0.0):
             raise InvalidGeometry("zero-length segment")
@@ -110,7 +110,7 @@ class SegmentList:
         first = np.flatnonzero(np.concatenate(
             [[True], (points[1:] != points[:-1]).any(axis=1)]))
         bad = points[first[np.add.reduceat(flow, first) != 0.0]]
-        term = np.asarray(terminals, dtype=float).reshape(-1, 3)
+        term = _points(terminals, "terminals", rows=True)
         return bad[~(bad[:, None, :] == term[None, :, :]).all(axis=2).any(axis=1)]
 
 
@@ -119,6 +119,30 @@ def _finite(value) -> bool:
     # for a float is rejected before anything converts it
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+# whether `value` is `size` numbers: an int or float numpy array of shape
+# (size,), or a list or tuple of `size` numbers that `_finite` passes
+def _numbers(value, size) -> bool:
+    if isinstance(value, np.ndarray):
+        return value.shape == (size,) and value.dtype.kind in "iuf"
+    return isinstance(value, (list, tuple)) and len(value) == size and all(map(_finite, value))
+
+
+def _points(value, what, rows=False, error=InvalidInput) -> np.ndarray:
+    """The point `value` as a new float array, or with `rows` (N, 3) rows."""
+    # a point is three `_numbers`, and with `rows` one point is one row and
+    # [] none.  An array passes by its dtype, shape and np.isfinite, with no
+    # pass in Python over its entries, and float rows are not copied;
+    # anything else raises `error`
+    if _numbers(value, 3) or rows and (
+            value.shape[1:] == (3,) and value.dtype.kind in "iuf"
+            if isinstance(value, np.ndarray)
+            else isinstance(value, (list, tuple)) and all(_numbers(p, 3) for p in value)):
+        points = (np.asarray if rows else np.array)(value, dtype=float)
+        if np.isfinite(points).all():
+            return points.reshape(-1, 3) if rows else points
+    raise error(f"{what} must be finite [x, y, z] {'points' if rows else 'coordinates'}")
 
 
 def _positive(key, value):
@@ -167,10 +191,11 @@ def _check(key, kind, value):
         raise InvalidInput(f"{key} must be a finite number")
     if kind == POINTS and isinstance(value, (list, tuple)) and len(value) > MAX_SEGMENTS:
         raise InvalidInput(f"{key} exceeds the {MAX_SEGMENTS} point cap")
-    if kind == POINTS and not (isinstance(value, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_finite, p))
-            for p in value)):
-        raise InvalidInput(f"{key} must be a list of [x, y, z] points")
+    # a list of points: not an array, nor one bare point, which `_points`
+    # would take as one row
+    if kind == POINTS:
+        _points(value if isinstance(value, (list, tuple)) and not _numbers(value, 3)
+                else None, key, rows=True)
     if kind == FLAG and not isinstance(value, bool):
         raise InvalidInput(f"{key} must be true or false")
     if kind == COUNT and not (isinstance(value, int) and not isinstance(value, bool)):
@@ -318,14 +343,14 @@ def _assemble(circuits, matrix=None) -> SegmentList:
 
 
 def _loop(centers, radius, currents, n_segments, group_ids):
-    """One regular n-gon circuit coaxial with z about each of `centers`, with
-    its own current and group; a coil pair is one call."""
+    """One regular n-gon circuit coaxial with z about each row of the array
+    `centers`, with its own current and group; a coil pair is one call."""
     if radius <= 0:
         raise InvalidGeometry("loop radius must be positive")
     if n_segments < 3:
         raise InvalidGeometry("need at least 3 segments for a loop")
     theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
-    starts = np.asarray(centers, dtype=float)[:, None, :] + radius * np.column_stack(
+    starts = centers[:, None, :] + radius * np.column_stack(
         [np.sin(theta), -np.cos(theta), np.zeros(n_segments)])
     ends = np.concatenate([starts[:, 1:], starts[:, :1]], axis=1)
     return [(s, e, i, [g] * n_segments)
@@ -336,12 +361,18 @@ def make_loop(center, radius, current, n_segments) -> SegmentList:
     """Regular n-gon inscribed in a circle about `center`, coaxial with z,
     in group "loop"; a positive current circulates counter-clockwise seen
     from +z.  A reversed loop is a negated current."""
-    return _assemble(_loop([center], radius, [current], n_segments, ["loop"]))
+    _check("loop radius", NUMBER, radius)
+    _check("loop current", CURRENT, current)
+    _check("loop segment count", COUNT, n_segments)
+    return _assemble(_loop(_points(center, "loop centre")[None], radius, [current],
+                           n_segments, ["loop"]))
 
 
 def make_free_path(points, current, closed=False) -> SegmentList:
     """Polyline through `points` in group "path", closed when `closed`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, "path points", rows=True)
+    _check("path current", CURRENT, current)
+    _check("closed", FLAG, closed)
     if pts.shape[0] < 2:
         raise InvalidGeometry("polyline needs at least two points")
     if closed:
@@ -456,7 +487,7 @@ def _ring(p, outer, what):
 def _anti_helmholtz(p, spt) -> SegmentList:
     """Coaxial loop pair at z = +-separation/2 with opposite currents."""
     z = p["separation"] / 2.0
-    return _assemble(_loop([(0, 0, z), (0, 0, -z)], p["radius"],
+    return _assemble(_loop(np.array([[0.0, 0.0, z], [0.0, 0.0, -z]]), p["radius"],
                            [p["current"], -p["current"]], spt, _COIL_PAIR))
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .geometry import (COPPER, GeometrySpec, Material, _finite, _positive,
-                       conductor_sections)
+from .geometry import (COPPER, CURRENT, NUMBER, GeometrySpec, Material, _check,
+                       _finite, _positive, conductor_sections)
 
 
 def _sum(values) -> float:
@@ -20,6 +20,7 @@ def _sum(values) -> float:
 
 def joule_power(current: float, resistance: float) -> float:
     """P = I^2 R (watt)."""
+    _check("current", CURRENT, current)
     if not (_finite(resistance) and resistance >= 0):
         raise InvalidInput("resistance must be non-negative and finite")
     return current * current * resistance
@@ -27,6 +28,7 @@ def joule_power(current: float, resistance: float) -> float:
 
 def current_density(current: float, area: float) -> float:
     """Current density in A/mm^2 for a conductor of cross-section `area` m^2."""
+    _check("current", CURRENT, current)
     _positive("area", area)
     return current / (area * 1.0e6)
 
@@ -34,6 +36,7 @@ def current_density(current: float, area: float) -> float:
 def required_heat_transfer_coefficient(power: float, contact_area: float,
                                        delta_t: float) -> float:
     """W/m^2K needed to sink `power` through `contact_area` at `delta_t`."""
+    _check("power", NUMBER, power)
     _positive("contact area", contact_area)
     _positive("temperature budget", delta_t)
     return power / (contact_area * delta_t)

@@ -92,7 +92,10 @@ def verify_scaling_numerically(base_spec: GeometrySpec, k_values) -> ScalingFit:
     power quoted alongside the field's k^(-1/2), wherever `scaled` scales
     every length the geometry holds.
     """
-    ks = sorted(float(k) for k in k_values)
+    ks = list(k_values)
+    for k in ks:
+        _positive("scale factor", k)
+    ks = sorted(map(float, ks))
     if len(set(ks)) < 2:
         raise DegenerateFit("need at least two distinct scale factors")
     figures = []

@@ -1,6 +1,8 @@
 """Zero finding, gradient fitting, and suitability verdicts."""
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +352,37 @@ def test_nan_settings_are_invalid_input(call):
 
 WIRE = mk.make_free_path([(0.01, 0.0, -1.0), (0.01, 0.0, 1.0)], 1.0)
 
+# every reader of [x, y, z] points, given one point: the one-point readers
+# take it as it is, the others as the second of two points
+POINT_READERS = {
+    "field_at": lambda p: mk.field_at(WIRE, p),
+    "field_many": lambda p: mk.field_many(WIRE, [(0.001, 0, 0), p]),
+    "sample_centre": lambda p: mk.sample_line(WIRE, p, (1, 0, 0), 1e-3, 5),
+    "sample_axis": lambda p: mk.sample_plane(WIRE, (0, 0, 0), (1, 0, 0), p,
+                                             1e-3, 5),
+    "search_centre": lambda p: mk.find_field_zero(WIRE, search_center=p),
+    "stencil_centre": lambda p: mk.jacobian_at(WIRE, p),
+    "fit_zero": lambda p: mk.fit_gradients(WIRE, p),
+    "loop_centre": lambda p: mk.make_loop(p, 0.01, 1.0, 24),
+    "path_points": lambda p: mk.make_free_path([(0, 0, 0), p], 1.0),
+    "terminals": lambda p: WIRE.unbalanced_vertices([(0, 0, 0), p]),
+    "config_points": lambda p: mk.GeometrySpec(
+        "FreePath", {"points": ((0, 0, 0), p)}),
+}
+# points outside the rule: three numbers, each an int or float and never a
+# bool, and finite, or an int or float array of shape (3,) with finite
+# entries
+BAD_POINTS = {
+    "str": ("0.001", 0, 0),
+    "bool": (True, 0, 0),
+    "nan": (math.nan, 0, 0),
+    "inf": (0, math.inf, 0),
+    "ragged": (0, 0),
+    "nan_array": np.array([0.0, 0.0, math.nan]),
+    "bool_array": np.array([True, False, False]),
+    "shape": np.zeros((2, 3)),
+}
+
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: mk.sample_line(WIRE, (0, 0), (1, 0, 0), 1e-3, 5),
@@ -373,7 +406,26 @@ WIRE = mk.make_free_path([(0.01, 0.0, -1.0), (0.01, 0.0, 1.0)], 1.0)
     pytest.param(lambda: mk.jacobian_at(WIRE, (0, 0)), id="stencil_centre"),
     pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), 1e-3, 0),
                  id="zero_count"),
-])
+    pytest.param(lambda: mk.field_many(WIRE, "abc"), id="field_points_str"),
+    pytest.param(lambda: mk.field_many(WIRE, np.zeros((2, 4))),
+                 id="field_points_shape"),
+    pytest.param(lambda: mk.field_many(WIRE, np.zeros((2, 2, 3))),
+                 id="field_points_3d"),
+    pytest.param(lambda: mk.field_at(WIRE, ["0.001", "0", "0"]),
+                 id="field_point_str"),
+    pytest.param(lambda: mk.make_loop(("a", 0, 0), 0.01, 1.0, 24),
+                 id="loop_centre_str"),
+    pytest.param(lambda: WIRE.unbalanced_vertices([(0, 0)]),
+                 id="terminals_ragged"),
+    pytest.param(lambda: mk.find_field_zero(WIRE, search_center=(True, 0, 0)),
+                 id="search_centre_bool"),
+    # a bare point is not a list of points
+    pytest.param(lambda: mk.GeometrySpec("FreePath", {"points": (0, 0, 0)}),
+                 id="config_bare_point"),
+] + [pytest.param(lambda reader=reader, point=point: reader(point),
+                  id=f"{reader_name}-{point_name}")
+     for reader_name, reader in POINT_READERS.items()
+     for point_name, point in BAD_POINTS.items()])
 def test_malformed_points_and_counts_are_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
@@ -421,10 +473,46 @@ COIL_OBJECTIVE = mk.ObjectiveSpec(bounds={"separation": (0.02, 0.1)})
     pytest.param(lambda: mk.current_density(1, True), id="area_bool"),
     pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), "1", 5),
                  id="half_range_str"),
+    pytest.param(lambda: mk.joule_power("2", 1.0), id="current_str"),
+    pytest.param(lambda: mk.joule_power(True, 1.0), id="current_bool"),
+    pytest.param(lambda: mk.current_density(math.inf, 1e-6), id="current_inf"),
+    pytest.param(lambda: mk.required_heat_transfer_coefficient("1", 1.0, 1.0),
+                 id="power_str"),
+    pytest.param(lambda: mk.make_loop((0, 0, 0), "0.01", 1.0, 24),
+                 id="loop_radius_str"),
+    pytest.param(lambda: mk.make_loop((0, 0, 0), True, 1.0, 24),
+                 id="loop_radius_bool"),
+    pytest.param(lambda: mk.make_loop((0, 0, 0), 0.01, "1", 24),
+                 id="loop_current_str"),
+    pytest.param(lambda: mk.make_loop((0, 0, 0), 0.01, 1.0, 24.5),
+                 id="loop_count_fraction"),
+    pytest.param(lambda: mk.make_free_path([(0, 0, 0), (0, 0, 1)], "2"),
+                 id="path_current_str"),
+    pytest.param(lambda: mk.make_free_path([(0, 0, 0), (0, 0, 1)], 1.0,
+                                           closed=1), id="path_closed_int"),
+    pytest.param(lambda: mk.verify_scaling_numerically(COIL, ["1", "2"]),
+                 id="scaling_k_str"),
+    pytest.param(lambda: mk.verify_scaling_numerically(COIL, [1, True]),
+                 id="scaling_k_bool"),
 ])
 def test_numbers_outside_the_rule_are_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_api_block_prints_its_documented_gradients(capsys):
+    # the block under "## Python API" runs as written, and rep.g prints the
+    # gradients its comment gives
+    section = README.read_text(encoding="utf-8").split("## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    documented = re.search(r"print\(rep\.g\).*e\.g\. \[(.*)\]", block).group(1)
+    assert [float(v) for v in printed[0].strip("[] ").split()] == pytest.approx(
+        [float(v) for v in documented.split(",")], abs=0.01)
 
 
 def test_as_field_rejects_other_types():

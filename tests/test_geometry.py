@@ -18,6 +18,16 @@ def test_segment_rejects_degenerate_data():
         mk.SegmentList([np.zeros(3)], [np.array([np.nan, 0, 0])], [1.0], ["_"])
     with pytest.raises(InvalidGeometry, match="empty segment list"):
         mk.SegmentList(np.zeros((0, 3)), np.zeros((0, 3)), [], [])
+    # entries that are not numbers: a string, a ragged row, a string
+    # current, a bool coordinate and a bool current
+    for starts, ends, currents in (
+            ("abc", [(1, 0, 0)], [1.0]),
+            ([(0, 0, 0), (1, 0)], [(1, 0, 0), (2, 0, 0)], [1.0, 1.0]),
+            ([(0, 0, 0)], [(1, 0, 0)], ["x"]),
+            ([(True, 0, 0)], [(1, 0, 0)], [1.0]),
+            ([(0, 0, 0)], [(1, 0, 0)], [True])):
+        with pytest.raises(InvalidGeometry):
+            mk.SegmentList(starts, ends, currents, ["g"] * len(currents))
 
 
 def test_closed_polyline_chains_head_to_tail():
