@@ -1,8 +1,8 @@
 """motkit: filament-bundle magnetostatics for compact magneto-optical traps."""
 
-from .analysis import (GradientReport, SuitabilityVerdict, ZeroResult,
-                       find_field_zero, fit_gradients, jacobian_at,
-                       mot_suitability)
+from .analysis import (DesignRecord, GradientReport, SuitabilityVerdict,
+                       ZeroResult, analyse_design, find_field_zero,
+                       fit_gradients, jacobian_at, mot_suitability)
 from .errors import (ClearanceError, DegenerateFit, EmptySample,
                      InfeasibleStart, InvalidGeometry, InvalidInput,
                      MotKitError, ObjectiveEvaluationError, SingularPoint,

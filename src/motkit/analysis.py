@@ -14,9 +14,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DegenerateFit, InvalidInput, SingularPoint, ZeroNotBracketed
+from .errors import (ClearanceError, DegenerateFit, InvalidInput,
+                     SingularPoint, ZeroNotBracketed)
 from .field import field_many
-from .geometry import COUNT, SegmentList, _check, _points, _positive
+from .geometry import (COPPER, COUNT, GeometrySpec, Material, SegmentList,
+                       _check, _points, _positive, clearance_check)
+from .power import PowerReport, power_report
 
 GAUSS_PER_TESLA = 1.0e4
 GCM_PER_TPM = 100.0           # 1 T/m = 100 G/cm
@@ -273,6 +276,36 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
         linear_window=window,
         residual_rms=float(np.sqrt(np.mean(resid ** 2))) * GAUSS_PER_TESLA,
     )
+
+
+@dataclass(frozen=True)
+class DesignRecord:
+    """One analysed design, as `analyse_design` returns it."""
+    segments: SegmentList
+    zero: ZeroResult
+    gradients: GradientReport
+    power: PowerReport
+    clearance: float | None            # m; None without a beam diameter
+
+
+def analyse_design(spec: GeometrySpec, segments: SegmentList,
+                   search_radius=DEFAULT_SEARCH_RADIUS, window=DEFAULT_WINDOW,
+                   samples=DEFAULT_SAMPLES, material: Material = COPPER,
+                   beam_diameter=None) -> DesignRecord:
+    """`spec`, built as `segments`, through `clearance_check` if a beam
+    diameter is given, `find_field_zero`, `fit_gradients` and `power_report`
+    in that order.  Raises ClearanceError, before any field call, if the
+    conductors intrude into the beams, and what the later stages raise."""
+    clearance = None
+    if beam_diameter is not None:
+        ok, clearance = clearance_check(segments, beam_diameter)
+        if not ok:
+            raise ClearanceError(f"conductors intrude {-clearance * 1e3:.4g} "
+                                 f"mm into the beams")
+    zero = find_field_zero(segments, search_radius=search_radius)
+    gradients = fit_gradients(segments, zero.position, window=window, n=samples)
+    return DesignRecord(segments, zero, gradients,
+                        power_report(spec, material), clearance)
 
 
 @dataclass(frozen=True)

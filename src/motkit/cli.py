@@ -27,14 +27,13 @@ import tempfile
 import numpy as np
 
 from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
-                       find_field_zero, fit_gradients, mot_suitability)
+                       analyse_design, mot_suitability)
 from .errors import InvalidInput, MotKitError
 from .field import field_map_csv, sample_line, sample_plane
 from .geometry import (COPPER, COUNT, CURRENT, LENGTH, MATERIALS, NAME, NUMBER,
                        REGISTRY, GeometrySpec, Material, SegmentList, build,
                        read_fields)
 from .optimize import ObjectiveSpec, optimize_geometry, trace_csv
-from .power import power_report
 from .scaling import scaling_report
 
 
@@ -204,10 +203,11 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _check_outdir(args.out)
     ana = cfg["analysis"]
-    segs = build(cfg["geometry"])
-    zero = find_field_zero(segs, search_radius=ana["search_radius"]).position
-    greport = fit_gradients(segs, zero, window=ana["window"], n=ana["samples"])
-    preport = power_report(cfg["geometry"], cfg["material"])
+    record = analyse_design(cfg["geometry"], build(cfg["geometry"]),
+                            ana["search_radius"], ana["window"],
+                            ana["samples"], material=cfg["material"])
+    segs, zero = record.segments, record.zero.position
+    greport, preport = record.gradients, record.power
     verdict = mot_suitability(greport)
 
     outputs = {}

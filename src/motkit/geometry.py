@@ -134,13 +134,17 @@ def _points(value, what, rows=False, error=InvalidInput) -> np.ndarray:
     # a point is three `_numbers`, and with `rows` one point is one row and
     # [] none.  An array passes by its dtype, shape and np.isfinite, with no
     # pass in Python over its entries, and float rows are not copied;
-    # anything else raises `error`
+    # anything else raises `error`.  A number `_finite` passed converts to a
+    # finite float, so np.isfinite runs only where an array was given, as
+    # the value or as a row
     if _numbers(value, 3) or rows and (
             value.shape[1:] == (3,) and value.dtype.kind in "iuf"
             if isinstance(value, np.ndarray)
             else isinstance(value, (list, tuple)) and all(_numbers(p, 3) for p in value)):
         points = (np.asarray if rows else np.array)(value, dtype=float)
-        if np.isfinite(points).all():
+        arrays = isinstance(value, np.ndarray) or any(
+            isinstance(p, np.ndarray) for p in value)
+        if not arrays or np.isfinite(points).all():
             return points.reshape(-1, 3) if rows else points
     raise error(f"{what} must be finite [x, y, z] {'points' if rows else 'coordinates'}")
 

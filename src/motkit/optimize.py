@@ -12,14 +12,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
-                       TARGET_RATIO, GradientReport, find_field_zero,
-                       fit_gradients)
-from .errors import (InfeasibleStart, InvalidInput, MotKitError,
-                     ObjectiveEvaluationError)
+                       TARGET_RATIO, DesignRecord, GradientReport,
+                       analyse_design)
+from .errors import (ClearanceError, InfeasibleStart, InvalidInput,
+                     MotKitError, ObjectiveEvaluationError)
 from .geometry import (COPPER, COUNT, CURRENT, LENGTH, NUMBER, REGISTRY,
                        GeometrySpec, Material, _check, _finite, _positive,
-                       build, clearance_check)
-from .power import PowerReport, power_report
+                       build)
+from .power import PowerReport
 
 
 # G/cm: lower bound on target_gradient.  With the weakest-axis gradient g
@@ -93,43 +93,41 @@ def trace_csv(result: OptResult) -> str:
 
 
 def evaluate_design(spec: GeometrySpec, obj: ObjectiveSpec,
-                    material: Material = COPPER):
-    """Build, check clearance, locate the zero, fit gradients, budget power.
+                    material: Material = COPPER) -> DesignRecord:
+    """The design's `analyse_design` record with the objective's settings.
 
-    Returns (gradient_report, power_report).  Raises ObjectiveEvaluationError
-    for a design the search discards: conductors inside the beams, or a
-    failed build or field analysis.  Raises InvalidInput for an unusable
-    search radius, fit window or sample count.
+    Raises ObjectiveEvaluationError for a design the search discards:
+    conductors inside the beams, or a failed build or field analysis.
+    Raises InvalidInput for an unusable search radius, fit window or sample
+    count.
     """
     try:
         segs = build(spec)
     except MotKitError as exc:
         raise ObjectiveEvaluationError(f"geometry build failed: {exc}") from exc
-    ok, clearance = clearance_check(segs, obj.beam_diameter)
-    if not ok:
-        raise ObjectiveEvaluationError(
-            f"conductors intrude {-clearance * 1e3:.4g} mm into the beams")
     try:
-        zero = find_field_zero(segs, search_radius=obj.search_radius).position
-        greport = fit_gradients(segs, zero, window=obj.fit_window,
-                                n=obj.fit_samples)
+        return analyse_design(spec, segs, obj.search_radius, obj.fit_window,
+                              obj.fit_samples, material=material,
+                              beam_diameter=obj.beam_diameter)
     except InvalidInput:
         raise
+    except ClearanceError as exc:
+        raise ObjectiveEvaluationError(str(exc)) from exc
     except MotKitError as exc:
         raise ObjectiveEvaluationError(f"field analysis failed: {exc}") from exc
-    return greport, power_report(spec, material)
 
 
 def objective_value(spec: GeometrySpec, obj: ObjectiveSpec,
                     material: Material = COPPER) -> float:
     """Weighted score of one design: gradient-magnitude error + ratio error
     against TARGET_RATIO + power.  Raises what evaluate_design raises."""
-    greport, preport = evaluate_design(spec, obj, material)
-    gmin = float(np.min(np.abs(greport.g)))
+    record = evaluate_design(spec, obj, material)
+    gmin = float(np.min(np.abs(record.gradients.g)))
     mag_term = ((gmin - obj.target_gradient) / obj.target_gradient) ** 2
-    ratio_term = sum((r - t) ** 2 for r, t in zip(greport.ratio, TARGET_RATIO)) / 4.0
+    ratio_term = sum((r - t) ** 2 for r, t
+                     in zip(record.gradients.ratio, TARGET_RATIO)) / 4.0
     return (obj.w_mag * mag_term + obj.w_ratio * ratio_term
-            + obj.w_power * preport.total_power)
+            + obj.w_power * record.power.total_power)
 
 
 # Nelder-Mead coefficients (fixed, standard)
@@ -232,13 +230,13 @@ def optimize_geometry(initial: GeometrySpec, obj: ObjectiveSpec,
     # evaluate_design is deterministic and succeeded there, so it does again
     best = int(np.argmin(values))
     best_parameters = dict(zip(names, simplex[best].tolist()))
-    greport, preport = evaluate_design(
+    record = evaluate_design(
         initial.replace_parameters(**best_parameters), obj, material)
     return OptResult(
         best_parameters=best_parameters,
         best_objective=float(values[best]),
-        gradient_report=greport,
-        power_report=preport,
+        gradient_report=record.gradients,
+        power_report=record.power,
         evaluations=len(trace),
         converged=converged,
         trace=tuple(trace),

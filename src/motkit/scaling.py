@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import GradientReport, find_field_zero, fit_gradients
+from .analysis import GradientReport, analyse_design
 from .errors import DegenerateFit, InvalidInput
 from .geometry import GeometrySpec, _positive, build
-from .power import PowerReport, power_report
+from .power import PowerReport
 
 # m: the verifier's zero search radius and fit window at k = 1, scaled by k
 WINDOW = 1.0e-3
@@ -101,10 +101,9 @@ def verify_scaling_numerically(base_spec: GeometrySpec, k_values) -> ScalingFit:
     figures = []
     for k in ks:
         spec = base_spec.scaled(k)
-        segs = build(spec)
-        zero = find_field_zero(segs, search_radius=WINDOW * k).position
-        rep = fit_gradients(segs, zero, window=WINDOW * k)
-        figures.append(float(gradient_per_root_watt(rep, power_report(spec))[2]))
+        record = analyse_design(spec, build(spec), WINDOW * k, WINDOW * k)
+        figures.append(float(gradient_per_root_watt(record.gradients,
+                                                    record.power)[2]))
     slope = np.polyfit(np.log(ks), np.log(figures), 1)[0]
     return ScalingFit(exponent=float(slope), k_values=tuple(ks),
                       g_per_root_watt=tuple(figures))

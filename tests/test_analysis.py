@@ -377,6 +377,9 @@ BAD_POINTS = {
     "bool": (True, 0, 0),
     "nan": (math.nan, 0, 0),
     "inf": (0, math.inf, 0),
+    # a numpy float is a float; an int past the float range converts to inf
+    "nan_numpy_float": (0, 0, np.float64(math.nan)),
+    "huge_int": (0, 10 ** 400, 0),
     "ragged": (0, 0),
     "nan_array": np.array([0.0, 0.0, math.nan]),
     "bool_array": np.array([True, False, False]),
@@ -565,3 +568,43 @@ def test_gradient_report_json_units():
     doc = rep.to_json_dict()
     assert doc["g_Gcm"][2] == pytest.approx(-1.76, rel=1e-9)
     assert doc["window_mm"] == pytest.approx(2.0)
+
+
+def test_design_record_is_the_chain_written_out():
+    # the record's parts are bitwise those of the four calls made by hand
+    spec = mk.GeometrySpec("TwoPiece", {}, 24)
+    segs = mk.build(spec)
+    record = mk.analyse_design(spec, segs, search_radius=2e-3, window=1e-3,
+                               samples=21, material=mk.TITANIUM_LIKE)
+    zero = mk.find_field_zero(segs, search_radius=2e-3)
+    fit = mk.fit_gradients(segs, zero.position, window=1e-3, n=21)
+    assert record.segments is segs
+    assert record.zero.position.tobytes() == zero.position.tobytes()
+    assert ((record.zero.method, record.zero.iterations, record.zero.residual)
+            == (zero.method, zero.iterations, zero.residual))
+    assert record.gradients.to_json_dict() == fit.to_json_dict()
+    assert record.power == mk.power_report(spec, mk.TITANIUM_LIKE)
+    assert record.clearance is None
+    with pytest.raises(AttributeError):
+        record.clearance = 0.0
+
+
+def test_design_record_checks_clearance_before_any_field_call(monkeypatch):
+    calls = []
+
+    def counted(segments, points):
+        calls.append(len(points))
+        return mk.field_many(segments, points)
+
+    monkeypatch.setattr(analysis, "field_many", counted)
+    spec = mk.GeometrySpec("TwoPiece", {}, 24)
+    segs = mk.build(spec)
+    ok, clearance = mk.clearance_check(segs, 0.016)   # the arms intrude
+    assert not ok
+    with pytest.raises(mk.ClearanceError,
+                       match=f"intrude {-clearance * 1e3:.4g} mm"):
+        mk.analyse_design(spec, segs, beam_diameter=0.016)
+    assert calls == []
+    record = mk.analyse_design(spec, segs, beam_diameter=0.015)
+    assert record.clearance == mk.clearance_check(segs, 0.015)[1] > 0.0
+    assert calls

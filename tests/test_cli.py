@@ -581,6 +581,34 @@ def test_byte_identity_gate_compares_every_exit_code(tmp_path, gate, capsys):
     assert codes == {0, 2, 3, 4}
 
 
+def test_byte_identity_gate_reaches_every_discard_path(tmp_path, gate,
+                                                       monkeypatch):
+    # the TwoPiece searches discard designs that do not build and designs
+    # whose conductors intrude into the beams; at 15.4 mm beams the start
+    # itself intrudes
+    reasons = []
+    evaluate = mk.optimize.evaluate_design
+
+    def counted(*args):
+        try:
+            return evaluate(*args)
+        except mk.ObjectiveEvaluationError as exc:
+            # "geometry build failed: ..." or "conductors intrude ..."
+            reasons.append(str(exc).split(" ", 2)[1])
+            raise
+
+    monkeypatch.setattr(mk.optimize, "evaluate_design", counted)
+    found = {}
+    for label, argv in gate.runs(str(tmp_path / "configs")):
+        if label.startswith("optimize-two_piece"):
+            reasons.clear()
+            code = run([*argv, "--out", str(tmp_path / label)])
+            found[label] = (code, sorted(reasons))
+    assert found == {
+        "optimize-two_piece_beam15.2": (0, ["build"] * 3 + ["intrude"] * 6),
+        "optimize-two_piece_beam15.4": (3, ["intrude"])}
+
+
 def test_byte_identity_gate_finds_a_zero_through_the_grid(tmp_path, gate):
     # the spur's tip is the search centre, so the first Newton stencil is
     # singular and the one zero the gate compares from a grid scan is this

@@ -160,10 +160,11 @@ def test_budget_cut_inside_a_shrink_reports_an_evaluated_pair(monkeypatch):
 
 
 def assert_reports_are_those_of(result, best, obj):
-    """The result's reports are evaluate_design's at `best`, as JSON."""
-    greport, preport = mk.evaluate_design(best, obj)
-    assert result.gradient_report.to_json_dict() == greport.to_json_dict()
-    assert result.power_report.to_json_dict() == preport.to_json_dict()
+    """The result's reports are those of evaluate_design's record at
+    `best`, as JSON."""
+    record = mk.evaluate_design(best, obj)
+    assert result.gradient_report.to_json_dict() == record.gradients.to_json_dict()
+    assert result.power_report.to_json_dict() == record.power.to_json_dict()
 
 
 def test_every_budget_reports_the_best_design():

@@ -59,3 +59,21 @@ def test_report_json():
     doc = mk.scaling_report(2.0).to_json_dict()
     assert doc["k"] == 2.0
     assert doc["ratios"]["gradient"] == pytest.approx(2.0 ** -1.5)
+
+
+def test_numerical_figures_are_bitwise_the_hand_written_chain():
+    # build, find the zero, fit the gradients and budget the power, written
+    # out by hand at the verifier's k-scaled search radius and fit window
+    spec = mk.GeometrySpec("AntiHelmholtz", {}, 24)
+    ks = (0.5, 1.0, 2.0)
+    fit = mk.verify_scaling_numerically(spec, ks)
+    expected = []
+    for k in ks:
+        scaled = spec.scaled(k)
+        segs = mk.build(scaled)
+        window = mk.scaling.WINDOW * k
+        zero = mk.find_field_zero(segs, search_radius=window).position
+        rep = mk.fit_gradients(segs, zero, window=window)
+        power = mk.power_report(scaled).total_power
+        expected.append(float(abs(rep.g[2]) / math.sqrt(power)))
+    assert [x.hex() for x in fit.g_per_root_watt] == [x.hex() for x in expected]

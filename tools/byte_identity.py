@@ -11,6 +11,10 @@ standard output, standard error and every file written to `--out`:
 
 * `optimize` on the `anti_helmholtz` preset, the one preset with an
   `objective` section, and once more with `--budget 0` (exit 2);
+* `optimize` of TwoPiece at 24 segments per turn with `--budget 30`, its
+  arm width and outer diameter free, once with 15.2 mm beams, where the
+  search discards 3 designs that do not build and 6 that intrude into the
+  beams, and once with 15.4 mm beams, where the start intrudes (exit 3);
 * `scale` at k = 4 and k = 0.5, which with `--out` writes `scaling.json`,
   and at k = 0 (exit 2);
 * `simulate` and `export` on each of the 4 bundled presets, and on the
@@ -100,6 +104,20 @@ EXTRA_CONFIGS = {
                              ("two_piece", "TwoPiece"))},
 }
 
+# `optimize` configs no preset holds: TwoPiece at 24 segments per turn,
+# whose arm width and outer diameter searches reach failed builds and beam
+# intrusions; at 15.4 mm beams the start itself intrudes (exit 3)
+OPTIMIZE_CONFIGS = {
+    f"two_piece_beam{beam}": {
+        "geometry": {"variant": "TwoPiece",
+                     "parameters": {"height": 38, "outer_diameter": 26,
+                                    "arm_width": 3.1},
+                     "discretization": {"segments_per_turn": 24}},
+        "objective": {"weights": {"w_power": 0.1}, "beam_diameter_mm": beam,
+                      "bounds_mm": {"arm_width": [1, 8],
+                                    "outer_diameter": [20, 40]}}}
+    for beam in (15.2, 15.4)}
+
 # Runs one CLI invocation with motkit imported from argv[1] and nowhere else.
 RUNNER = (
     "import os, sys\n"
@@ -130,6 +148,12 @@ def runs(config_dir: str):
             json.dump(doc, fh)
         yield f"simulate-{name}", ["simulate", "--config", config]
         yield f"export-{name}", ["export", "--config", config]
+    for name, doc in OPTIMIZE_CONFIGS.items():
+        config = os.path.join(config_dir, f"{name}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        yield f"optimize-{name}", ["optimize", "--config", config,
+                                   "--budget", "30"]
     for name in workloads.NAMES:
         seeds = OPTIMIZE_SEEDS if name == "optimize-coil24" else OTHER_SEEDS
         for seed in seeds:
