@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ClearanceError, DegenerateFit, InvalidInput,
                      SingularPoint, ZeroNotBracketed)
-from .field import field_many
+from .field import MAX_SAMPLES, field_many
 from .geometry import (COPPER, COUNT, GeometrySpec, Material, SegmentList,
                        _check, _points, _positive, clearance_check)
 from .power import PowerReport, power_report
@@ -248,6 +248,8 @@ def fit_gradients(source, zero, window: float = DEFAULT_WINDOW,
     _check("sample count", COUNT, n)
     if n < 5:
         raise InvalidInput("need at least 5 samples per axis")
+    if 3 * n > MAX_SAMPLES:
+        raise InvalidInput(f"a fit may take at most {MAX_SAMPLES} samples")
     f = as_field(source)
     zero = _points(zero, "field zero")
     s = np.linspace(-window, window, n)

@@ -5,12 +5,13 @@ integers and flags booleans.  Every section is read by
 `geometry.read_fields`; a bound in `bounds_mm` is in its parameter's units.
 The `analysis` section is read once: `simulate` and every `optimize`
 evaluation find the zero and fit the gradients with its search radius, fit
-window and sample count, and its sample counts are capped by MAX_SAMPLES
-before anything is built.  Outputs are CSV field maps (SI columns plus a
-gauss magnitude column), JSON reports, and an OBJ-style polyline export.
-A command writes all its files or none: each goes to a temporary file in
-the output directory before any is renamed into place, and a target it
-cannot write is invalid usage.
+window and sample count, and its sample counts are capped by
+`field.MAX_SAMPLES` before anything is built.  Outputs are CSV field maps
+(SI columns plus a gauss magnitude column), JSON reports, and an OBJ-style
+polyline export.  A command writes all its files or none: each goes to a
+temporary file in the output directory as soon as it is rendered, and none
+is renamed into place before all are written, so `simulate` holds one map
+at a time.  A target it cannot write is invalid usage.
 
 Exit codes: 0 ok, 2 invalid usage, config or value in any section, 3
 infeasible geometry (beam clearance) or infeasible optimizer start, 4
@@ -19,6 +20,7 @@ numerical failure.  Each comes from the `exit_code` of the error class.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -29,7 +31,7 @@ import numpy as np
 from .analysis import (DEFAULT_SAMPLES, DEFAULT_SEARCH_RADIUS, DEFAULT_WINDOW,
                        analyse_design, mot_suitability)
 from .errors import InvalidInput, MotKitError
-from .field import field_map_csv, sample_line, sample_plane
+from .field import MAX_SAMPLES, field_map_csv, sample_line, sample_plane
 from .geometry import (COPPER, COUNT, CURRENT, LENGTH, MATERIALS, NAME, NUMBER,
                        REGISTRY, GeometrySpec, Material, SegmentList, build,
                        read_fields)
@@ -47,11 +49,6 @@ _ANALYSIS = {"window_mm": (LENGTH, DEFAULT_WINDOW),
              "plane_points": (COUNT, 21),
              "search_radius_mm": (LENGTH, DEFAULT_SEARCH_RADIUS)}
 
-# upper bound on the field samples one command takes: three fit axes, three
-# scans and three planes.  Memory grows with the sample count, since the
-# kernel bounds its own temporaries; the bundled presets take 1,749
-MAX_SAMPLES = 1_000_000
-
 # objective keys named apart from their ObjectiveSpec field
 _OBJECTIVE_FIELDS = {"target_gradient_Gcm": "target_gradient",
                      "beam_diameter_mm": "beam_diameter", "bounds_mm": "bounds"}
@@ -63,7 +60,8 @@ def _read_analysis(doc) -> dict:
                         "analysis")
     ana = {key.removesuffix("_mm"): given.get(key, default)
            for key, (_, default) in _ANALYSIS.items()}
-    # a negative count would offset the others in the sum below
+    # a negative count would offset the others in the sum below, which
+    # caps one command's three fit axes, three scans and three planes
     if min(ana["samples"], ana["scan_points"], ana["plane_points"]) < 1:
         raise InvalidInput("analysis sample counts must be positive")
     if 3 * (ana["samples"] + ana["scan_points"]
@@ -147,25 +145,27 @@ def load_config(path: str) -> dict:
 # output helpers
 
 
-def _write_outputs(out: str, files: dict):
-    """Write each name -> text of `files` into the directory `out`.
+def _write_outputs(out: str, names, texts):
+    """Write each text of `texts`, drawn only when its turn comes, as the
+    next name of `names` in the directory `out`.
 
-    Every text goes to a temporary file in `out` before any is renamed over
-    its target, and no temporary outlives the call.  A target that is a
-    directory is refused before anything is written, and an OSError becomes
-    InvalidInput naming the path.
+    A target that is a directory is refused before any text is drawn.  Each
+    text goes to a temporary file in `out` and is dropped before the next is
+    drawn; all are renamed over their targets once the last is written, and
+    none outlives the call.  An OSError becomes InvalidInput naming the path.
     """
-    targets = [os.path.join(out, name) for name in files]
+    targets = [os.path.join(out, name) for name in names]
     for path in targets:
         if os.path.isdir(path):
             raise InvalidInput(f"cannot write {path}: it is a directory")
+    texts = iter(texts)
     temps = []
     try:
-        for path, text in zip(targets, files.values()):
+        for path in targets:
             fd, tmp = tempfile.mkstemp(dir=out, prefix=".motkit-", suffix=".tmp")
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.write(next(texts))
         for tmp, path in zip(temps, targets):
             os.replace(tmp, path)
     except OSError as exc:
@@ -209,25 +209,28 @@ def cmd_simulate(args) -> int:
     segs, zero = record.segments, record.zero.position
     greport, preport = record.gradients, record.power
     verdict = mot_suitability(greport)
-
-    outputs = {}
-    axes = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
-    for name, direction in axes.items():
-        fmap = sample_line(segs, zero, direction, ana["scan_halfrange"],
-                           ana["scan_points"])
-        outputs[f"scan_{name}.csv"] = field_map_csv(fmap)
-    planes = {"xy": ((1, 0, 0), (0, 1, 0)), "xz": ((1, 0, 0), (0, 0, 1)),
-              "zy": ((0, 0, 1), (0, 1, 0))}
-    for name, (a1, a2) in planes.items():
-        fmap = sample_plane(segs, zero, a1, a2, ana["scan_halfrange"],
-                            ana["plane_points"])
-        outputs[f"plane_{name}.csv"] = field_map_csv(fmap)
-    outputs["report.json"] = _json_text({
+    # the report before the maps, so that a non-finite number in it exits 4
+    # ahead of a target that is a directory
+    report = _json_text({
         "gradient_report": greport.to_json_dict(),
         "power_report": preport.to_json_dict(),
         "suitability": verdict.to_json_dict(),
     })
-    _write_outputs(args.out, outputs)
+    axes = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+    planes = {"xy": ((1, 0, 0), (0, 1, 0)), "xz": ((1, 0, 0), (0, 0, 1)),
+              "zy": ((0, 0, 1), (0, 1, 0))}
+    half = ana["scan_halfrange"]
+    # generators: each map is sampled and rendered only when the writer
+    # draws its text, after the one before it is written
+    scan_texts = (field_map_csv(sample_line(segs, zero, direction, half,
+                                            ana["scan_points"]))
+                  for direction in axes.values())
+    plane_texts = (field_map_csv(sample_plane(segs, zero, a1, a2, half,
+                                              ana["plane_points"]))
+                   for a1, a2 in planes.values())
+    _write_outputs(args.out, [f"scan_{name}.csv" for name in axes]
+                   + [f"plane_{name}.csv" for name in planes] + ["report.json"],
+                   itertools.chain(scan_texts, plane_texts, [report]))
     g = greport.g
     print(f"zero at {np.array2string(zero * 1e3, precision=4)} mm")
     print(f"gradients: {g[0]:.3f}, {g[1]:.3f}, {g[2]:.3f} G/cm "
@@ -244,9 +247,8 @@ def cmd_optimize(args) -> int:
     _check_outdir(args.out)
     result = optimize_geometry(cfg["geometry"], cfg["objective"],
                                budget=args.budget, material=cfg["material"])
-    _write_outputs(args.out, {
-        "opt_result.json": _json_text(result.to_json_dict()),
-        "opt_trace.csv": trace_csv(result)})
+    _write_outputs(args.out, ["opt_result.json", "opt_trace.csv"],
+                   [_json_text(result.to_json_dict()), trace_csv(result)])
     kinds = REGISTRY[cfg["geometry"].variant].parameters
     print("best parameters:")
     for name, value in sorted(result.best_parameters.items()):
@@ -266,8 +268,8 @@ def cmd_scale(args) -> int:
         print(f"{name:<12}{value:>12.6g}")
     if args.out:
         _check_outdir(args.out)
-        _write_outputs(args.out,
-                       {"scaling.json": _json_text(report.to_json_dict())})
+        _write_outputs(args.out, ["scaling.json"],
+                       [_json_text(report.to_json_dict())])
     else:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0
@@ -297,7 +299,7 @@ def cmd_export(args) -> int:
     cfg = load_config(args.config)
     _check_outdir(args.out)
     segs = build(cfg["geometry"])
-    _write_outputs(args.out, {"geometry.obj": export_obj(segs)})
+    _write_outputs(args.out, ["geometry.obj"], [export_obj(segs)])
     print(f"wrote {len(segs)} segments in {len(segs.groups())} groups")
     return 0
 

@@ -93,6 +93,9 @@ _LAYOUTS = 3
 # e = (|r1| + |r2|) / |l| - 1, so pairs with r1.r2 < 0 and e below this take
 # its stable form instead; outside them the loss is at most about 3e-14
 _CANCEL = 1e-3
+# upper bound on the field samples one map, one gradient fit or one command
+# takes, checked before anything is allocated; the bundled presets take 1,749
+MAX_SAMPLES = 1_000_000
 
 CSV_HEADER = "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Bmag_G"
 # rows per rendered block: the writer's scratch is about 60 bytes per value,
@@ -621,14 +624,22 @@ def _sample(segments, center, axes, half_range, n) -> FieldMap:
     _check("sample count", COUNT, n)
     if n < 1:
         raise InvalidInput("need at least one sample per axis")
+    if n ** len(axes) > MAX_SAMPLES:
+        raise InvalidInput(f"a map may take at most {MAX_SAMPLES} samples")
     _check("sample half-range", NUMBER, half_range)
     grid = _points(center, "sample centre")
-    s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
+    units = []
     for axis in [_points(a, "sample axis") for a in axes]:
         norm = np.linalg.norm(axis)
         if norm == 0:
             raise InvalidInput("sample axes must be non-zero")
-        grid = grid[..., None, :] + s[:, None] * (axis / norm)
+        units.append(axis / norm)
+    # the sine of the angle between a plane's axes, past rounding
+    if len(units) == 2 and np.linalg.norm(np.cross(*units)) < 1e-12:
+        raise InvalidInput("sample axes must not be parallel")
+    s = np.linspace(-half_range, half_range, n) if n > 1 else np.array([0.0])
+    for unit in units:
+        grid = grid[..., None, :] + s[:, None] * unit
     # a line is one row of the grid
     grid = grid.reshape(-1, n, 3)
     positions = grid.reshape(-1, 3)

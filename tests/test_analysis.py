@@ -2,13 +2,14 @@
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import motkit as mk
-from motkit import analysis, cli
+from motkit import analysis, cli, field
 from motkit.errors import (DegenerateFit, InvalidInput, MotKitError,
                            ZeroNotBracketed)
 
@@ -409,6 +410,12 @@ BAD_POINTS = {
     pytest.param(lambda: mk.jacobian_at(WIRE, (0, 0)), id="stencil_centre"),
     pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), 1e-3, 0),
                  id="zero_count"),
+    pytest.param(lambda: mk.sample_plane(WIRE, (0, 0, 0), (1, 1, 0),
+                                         (-2, -2, 0), 1e-3, 5),
+                 id="parallel_axes"),
+    pytest.param(lambda: mk.sample_plane(WIRE, (0, 0, 0), (0.1, 0.3, 0),
+                                         (0.2, 0.6, 0), 1e-3, 5),
+                 id="parallel_axes_rounded"),
     pytest.param(lambda: mk.field_many(WIRE, "abc"), id="field_points_str"),
     pytest.param(lambda: mk.field_many(WIRE, np.zeros((2, 4))),
                  id="field_points_shape"),
@@ -432,6 +439,25 @@ BAD_POINTS = {
 def test_malformed_points_and_counts_are_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: mk.sample_plane(WIRE, (0, 0, 0), (1, 0, 0),
+                                         (0, 1, 0), 1e-3, 10 ** 6), id="plane"),
+    pytest.param(lambda: mk.sample_line(WIRE, (0, 0, 0), (1, 0, 0), 1e-3,
+                                        field.MAX_SAMPLES + 1), id="line"),
+    pytest.param(lambda: mk.fit_gradients(WIRE, np.zeros(3), n=10 ** 9),
+                 id="fit"),
+])
+def test_sample_cap_is_checked_before_allocation(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="at most"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 COIL = mk.GeometrySpec("AntiHelmholtz", {}, 24)

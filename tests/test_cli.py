@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,7 +104,9 @@ def test_unusable_output_directory_is_exit_2(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", str(blocker)]) == 2
 
 
-@pytest.mark.parametrize("command, blocked", [("simulate", "report.json"),
+@pytest.mark.parametrize("command, blocked", [("simulate", "scan_x.csv"),
+                                              ("simulate", "plane_zy.csv"),
+                                              ("simulate", "report.json"),
                                               ("optimize", "opt_trace.csv")])
 def test_unwritable_target_writes_nothing_and_is_exit_2(tmp_path, capsys,
                                                        command, blocked):
@@ -119,6 +122,24 @@ def test_unwritable_target_writes_nothing_and_is_exit_2(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
     assert [p.name for p in out.iterdir()] == [blocked]
     assert not list((out / blocked).iterdir())
+
+
+def test_simulate_holds_one_map_at_a_time(tmp_path):
+    # three 201 x 201 planes: every text held until the last is rendered
+    # would take more than the files it writes
+    cfg = write_config(tmp_path, {
+        "geometry": {"variant": "AntiHelmholtz",
+                     "discretization": {"segments_per_turn": 24}},
+        "analysis": {"plane_points": 201}})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in out.glob("*.csv"))
+    assert peak < written
 
 
 def test_failed_write_removes_its_temporaries(tmp_path, capsys, monkeypatch):
@@ -137,6 +158,20 @@ def test_failed_write_removes_its_temporaries(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert len(made) == 3 and not list(out.iterdir())
+
+
+def test_failed_map_removes_the_written_temporaries(tmp_path, capsys,
+                                                    monkeypatch):
+    # the scans are in their temporary files when the first plane fails
+    def empty(*args):
+        raise mk.EmptySample("every sample point is singular")
+
+    monkeypatch.setattr(cli, "sample_plane", empty)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, coil_config())
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert "every sample point is singular" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_missing_config_file_is_exit_2(tmp_path):
@@ -579,6 +614,20 @@ def test_byte_identity_gate_compares_every_exit_code(tmp_path, gate, capsys):
             assert err == (f"error: {message}\n" if code else "")
             codes.add(code)
     assert codes == {0, 2, 3, 4}
+
+
+def test_byte_identity_gate_blocks_targets(tmp_path, gate, capsys):
+    # a directory at a target exits 2 before any map is sampled; the wire's
+    # numerical failure comes first and exits 4
+    found = {}
+    for label, argv in gate.runs(str(tmp_path / "configs")):
+        if label in gate.BLOCKED_RUNS:
+            blocked = gate.BLOCKED_RUNS[label][1]
+            out = tmp_path / label
+            (out / blocked).mkdir(parents=True)
+            found[blocked] = run([*argv, "--out", str(out)])
+            assert [path.name for path in out.iterdir()] == [blocked]
+    assert found == {"scan_x.csv": 2, "plane_zy.csv": 2, "report.json": 4}
 
 
 def test_byte_identity_gate_reaches_every_discard_path(tmp_path, gate,

@@ -7,7 +7,8 @@ Usage (from the root of a checkout):
 Each argument is a `src/` directory that holds the `motkit` package.  Every
 run below calls `motkit.cli.main` with the same argv against each tree, each
 in a fresh interpreter that writes no bytecode, and compares the exit code,
-standard output, standard error and every file written to `--out`:
+standard output, standard error and every entry of `--out`, a directory
+by the names it holds:
 
 * `optimize` on the `anti_helmholtz` preset, the one preset with an
   `objective` section, and once more with `--budget 0` (exit 2);
@@ -30,6 +31,10 @@ standard output, standard error and every file written to `--out`:
   2), a CompactFour with no room for its prongs (exit 3), and a straight
   FreePath wire, on which `simulate` finds no |B| minimum (exit 4) and
   `export` exits 0;
+* `simulate` with a directory made in advance at one target: at
+  `scan_x.csv` and at `plane_zy.csv` of the `anti_helmholtz` preset (exit
+  2), and at `report.json` of the straight wire, whose numerical failure
+  comes first (exit 4);
 * the 3 benchmark workloads' configs (`bench/workloads.py`) at seeds 1-2,
   and `optimize-coil24` at seeds 3-8 as well.
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -118,6 +124,15 @@ OPTIMIZE_CONFIGS = {
                                     "outer_diameter": [20, 40]}}}
     for beam in (15.2, 15.4)}
 
+# `simulate` runs with a directory made in advance at one target: label ->
+# (a preset or a config above, the blocked name)
+BLOCKED_RUNS = {
+    "simulate-anti_helmholtz-blocked-scan_x": ("anti_helmholtz", "scan_x.csv"),
+    "simulate-anti_helmholtz-blocked-plane_zy": ("anti_helmholtz",
+                                                 "plane_zy.csv"),
+    "simulate-free_path_wire-blocked-report": ("free_path_wire", "report.json"),
+}
+
 # Runs one CLI invocation with motkit imported from argv[1] and nowhere else.
 RUNNER = (
     "import os, sys\n"
@@ -142,12 +157,15 @@ def runs(config_dir: str):
     for k in ("4", "0.5", "0"):
         yield f"scale-{k}", ["scale", k]
     os.makedirs(config_dir)
+    configs = {}
     for name, doc in EXTRA_CONFIGS.items():
-        config = os.path.join(config_dir, f"{name}.json")
+        configs[name] = config = os.path.join(config_dir, f"{name}.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         yield f"simulate-{name}", ["simulate", "--config", config]
         yield f"export-{name}", ["export", "--config", config]
+    for label, (name, _) in BLOCKED_RUNS.items():
+        yield label, ["simulate", "--config", configs.get(name, name)]
     for name, doc in OPTIMIZE_CONFIGS.items():
         config = os.path.join(config_dir, f"{name}.json")
         with open(config, "w", encoding="utf-8") as fh:
@@ -163,16 +181,27 @@ def runs(config_dir: str):
             yield label, workloads.make(name, seed, workdir)["argv"]
 
 
-def outputs(src: str, argv: list, out: str) -> dict:
-    """Name -> bytes of everything one run produced."""
+def outputs(src: str, argv: list, out: str, blocked) -> dict:
+    """Name -> bytes of everything one run produced, with a directory made
+    at `blocked` first unless it is None; a directory in `out` is recorded
+    under its name and a '/' as the names it holds.  `out` is removed
+    afterwards, so that both trees write to the same path and name it alike
+    in their messages."""
     os.makedirs(out)
+    if blocked is not None:
+        os.mkdir(os.path.join(out, blocked))
     proc = subprocess.run([sys.executable, "-B", "-c", RUNNER, src, *argv,
                            "--out", out], capture_output=True)
     found = {"<exit code>": str(proc.returncode).encode(),
              "<stdout>": proc.stdout, "<stderr>": proc.stderr}
     for name in sorted(os.listdir(out)):
-        with open(os.path.join(out, name), "rb") as fh:
+        path = os.path.join(out, name)
+        if os.path.isdir(path):
+            found[name + "/"] = "\n".join(sorted(os.listdir(path))).encode()
+            continue
+        with open(path, "rb") as fh:
             found[name] = fh.read()
+    shutil.rmtree(out)
     return found
 
 
@@ -190,8 +219,9 @@ def main(argv=None) -> int:
     differing = 0
     with tempfile.TemporaryDirectory(prefix="motkit-identity-") as tmp:
         for label, run_argv in runs(os.path.join(tmp, "configs")):
-            parent, change = (outputs(src, run_argv, os.path.join(tmp, side, label))
-                              for side, src in zip(("parent", "change"), trees))
+            blocked = BLOCKED_RUNS[label][1] if label in BLOCKED_RUNS else None
+            parent, change = (outputs(src, run_argv, os.path.join(tmp, "out"),
+                                      blocked) for src in trees)
             diffs = [name for name in sorted(parent.keys() | change.keys())
                      if parent.get(name) != change.get(name)]
             print(f"{'DIFFERS' if diffs else 'same':<8}{label} "
