@@ -118,10 +118,10 @@ class ZeroResult:
     residual: float                    # |B| at position, T
 
 
-def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
-                    search_radius=DEFAULT_SEARCH_RADIUS) -> ZeroResult:
-    """Zero of B: Newton steps on B = 0 from `search_center`, with a grid
-    scan of the search cube as the fallback.
+def find_field_zero(source, search_radius=DEFAULT_SEARCH_RADIUS) -> ZeroResult:
+    """Zero of B: Newton steps on B = 0 from the origin, the trap's centre
+    where the beams cross, with a grid scan of the search cube as fallback.
+    A caller whose zero lies elsewhere shifts its field or FreePath points.
 
     Near a quadrupole zero B is linear, so Newton on the vector field
     converges quadratically to it.  Its result stands only if every stencil
@@ -133,22 +133,21 @@ def find_field_zero(source, search_center=(0.0, 0.0, 0.0),
     """
     _positive("search radius", search_radius)
     f = as_field(source)
-    c = _points(search_center, "search centre")
     inner = search_radius * (1.0 - 1.0 / (_GRID_N - 1))
     try:
-        return _refine(f, "newton", c, None, search_radius,
-                       lambda q: np.max(np.abs(q - c)) > inner)
+        return _refine(f, "newton", np.zeros(3), None, search_radius,
+                       lambda q: np.max(np.abs(q)) > inner)
     except (SingularPoint, ZeroNotBracketed):
         pass
-    return _grid_zero(f, c, search_radius)
+    return _grid_zero(f, search_radius)
 
 
-def _grid_zero(f, c, search_radius) -> ZeroResult:
+def _grid_zero(f, search_radius) -> ZeroResult:
     """`find_field_zero`'s fallback: the |B| minimum of an 11^3 grid over the
-    search cube, refined by Newton steps."""
+    search cube about the origin, refined by Newton steps."""
     axis = np.linspace(-search_radius, search_radius, _GRID_N)
-    grid = c + np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                        axis=-1).reshape(-1, 3)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
     mags = np.linalg.norm(f(grid), axis=1)
     mags[np.isnan(mags)] = math.inf     # singular grid points never win
     # Only a strict new running minimum can pass the tie rule below, so the
@@ -167,7 +166,7 @@ def _grid_zero(f, c, search_radius) -> ZeroResult:
         raise ZeroNotBracketed("|B| minimum lies on the search-region boundary")
     limit = search_radius * math.sqrt(3.0)
     return _refine(f, "grid", grid[best], best_m, search_radius,
-                   lambda q: np.linalg.norm(q - c) > limit)
+                   lambda q: np.linalg.norm(q) > limit)
 
 
 def _refine(f, method, start, m_start, search_radius, outside) -> ZeroResult:

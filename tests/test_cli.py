@@ -174,6 +174,12 @@ def test_failed_map_removes_the_written_temporaries(tmp_path, capsys,
     assert not list(out.iterdir())
 
 
+def test_report_with_a_non_finite_number_is_exit_4():
+    with pytest.raises(mk.MotKitError, match="non-finite number") as info:
+        cli._json_text({"g_Gcm": [math.nan, 1.0, -2.0]})
+    assert info.value.exit_code == 4
+
+
 def test_missing_config_file_is_exit_2(tmp_path):
     assert run(["simulate", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "o")]) == 2
@@ -659,7 +665,7 @@ def test_byte_identity_gate_reaches_every_discard_path(tmp_path, gate,
 
 
 def test_byte_identity_gate_finds_a_zero_through_the_grid(tmp_path, gate):
-    # the spur's tip is the search centre, so the first Newton stencil is
+    # the spur's tip is the origin, so the first Newton stencil is
     # singular and the one zero the gate compares from a grid scan is this
     argv = next(argv for label, argv in gate.runs(str(tmp_path / "configs"))
                 if label == "simulate-free_path_spur")

@@ -28,6 +28,13 @@ def test_segment_rejects_degenerate_data():
             ([(0, 0, 0)], [(1, 0, 0)], [True])):
         with pytest.raises(InvalidGeometry):
             mk.SegmentList(starts, ends, currents, ["g"] * len(currents))
+    # arrays of different lengths: one end too many, one group id too few
+    for starts, ends, group_ids in (
+            ([(0, 0, 0)], [(1, 0, 0), (2, 0, 0)], ["g"]),
+            ([(0, 0, 0), (1, 0, 0)], [(1, 0, 0), (2, 0, 0)], ["g"])):
+        with pytest.raises(InvalidGeometry,
+                           match="inconsistent segment array shapes"):
+            mk.SegmentList(starts, ends, [1.0] * len(starts), group_ids)
 
 
 def test_closed_polyline_chains_head_to_tail():
